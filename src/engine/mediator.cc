@@ -510,16 +510,19 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
   if (options.use_optimizer) {
     optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options),
                                   estimator_params_);
-    HERMES_ASSIGN_OR_RETURN(
-        optimizer::OptimizerResult optimized,
-        opt.Optimize(program_, query, options.goal));
-    if (tracer != nullptr) {
-      uint64_t opt_span = tracer->BeginSpan("optimize", "optimizer", 0.0);
-      tracer->AddArg(opt_span, "plan", optimized.best.description);
-      tracer->AddArg(opt_span, "candidates",
-                     std::to_string(optimized.candidates.size()));
-      tracer->EndSpan(opt_span, optimized.total_estimation_ms);
+    // The span brackets the optimizer call, so its wall time is planning's
+    // host cost; its simulated end is the optimizer's DCSM lookup time.
+    obs::SpanScope span(tracer, "optimize", "optimizer", 0.0);
+    Result<optimizer::OptimizerResult> planned =
+        opt.Optimize(program_, query, options.goal);
+    if (!planned.ok()) {
+      span.MarkFailed(planned.status().ToString());
+      return planned.status();
     }
+    optimizer::OptimizerResult& optimized = *planned;
+    span.AddArg("plan", optimized.best.description);
+    span.AddArg("candidates", std::to_string(optimized.candidates.size()));
+    span.set_sim_end(optimized.total_estimation_ms);
     if (result != nullptr) {
       result->plan_description = optimized.best.description;
       result->predicted = optimized.best.estimated;
@@ -531,7 +534,7 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
   }
 
   optimizer::CandidatePlan plan;
-  plan.program = program_;
+  plan.program = optimizer::RuleRewriter::ReachableRules(program_, query);
   plan.query = query;
   plan.description = "as-written";
   if (options.use_cim && !cims_.empty()) {

@@ -24,6 +24,41 @@ BindingInfo DescribeTerm(const lang::Term& term, const BindingEnv& env) {
 
 }  // namespace
 
+size_t CostMemo::PatternHash::operator()(
+    const lang::DomainCallSpec& pattern) const {
+  size_t h = std::hash<std::string>()(pattern.domain);
+  auto mix = [&h](size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(std::hash<std::string>()(pattern.function));
+  for (const lang::Term& arg : pattern.args) {
+    mix(static_cast<size_t>(arg.kind));
+    if (arg.is_constant()) mix(arg.constant.Hash());
+  }
+  return h;
+}
+
+bool CostMemo::PatternEq::operator()(const lang::DomainCallSpec& a,
+                                     const lang::DomainCallSpec& b) const {
+  if (!(a == b)) return false;
+  for (size_t i = 0; i < a.args.size(); ++i) {
+    if (a.args[i].is_constant() &&
+        a.args[i].constant.type() != b.args[i].constant.type()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+const Result<dcsm::CostEstimate>& CostMemo::Cost(
+    const dcsm::Dcsm& dcsm, const lang::DomainCallSpec& pattern) {
+  auto it = answers_.find(pattern);
+  if (it == answers_.end()) {
+    it = answers_.emplace(pattern, dcsm.Cost(pattern)).first;
+  }
+  return it->second;
+}
+
 Result<lang::DomainCallSpec> RuleCostEstimator::PatternFor(
     const lang::DomainCallSpec& call, const BindingEnv& env) const {
   lang::DomainCallSpec pattern;
@@ -51,7 +86,8 @@ Result<lang::DomainCallSpec> RuleCostEstimator::PatternFor(
 Result<CostVector> RuleCostEstimator::EstimatePredicate(
     const lang::Program& program, const lang::Atom& atom,
     const BindingEnv& env, size_t depth,
-    std::set<std::string>* active_predicates, double* estimation_ms) const {
+    std::set<std::string>* active_predicates, double* estimation_ms,
+    CostMemo* memo) const {
   std::string key = atom.predicate + "/" + std::to_string(atom.args.size());
   if (depth >= params_.max_recursion_depth ||
       active_predicates->count(key) > 0) {
@@ -97,7 +133,7 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
 
     Result<CostVector> body = EstimateBodyInternal(
         program, rule.body, local, depth + 1, active_predicates,
-        estimation_ms);
+        estimation_ms, memo);
     if (!body.ok()) {
       // Recursion is a hard error (the paper defers recursive mediators to
       // [33]); an infeasible ordering merely disqualifies this rule.
@@ -157,7 +193,7 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
 Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
     const lang::Program& program, const std::vector<lang::Atom>& goals,
     BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-    double* estimation_ms) const {
+    double* estimation_ms, CostMemo* memo) const {
   double t_first = 0.0;
   double t_all = 0.0;
   double card = 1.0;
@@ -171,10 +207,10 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
       case lang::Atom::Kind::kDomainCall: {
         HERMES_ASSIGN_OR_RETURN(lang::DomainCallSpec pattern,
                                 PatternFor(goal.call, env));
-        HERMES_ASSIGN_OR_RETURN(dcsm::CostEstimate est,
-                                dcsm_->Cost(pattern));
-        *estimation_ms += est.lookup_ms;
-        goal_cost = est.cost;
+        const Result<dcsm::CostEstimate>& est = memo->Cost(*dcsm_, pattern);
+        if (!est.ok()) return est.status();
+        *estimation_ms += est->lookup_ms;
+        goal_cost = est->cost;
         BindingInfo out = DescribeTerm(goal.output, env);
         if (out.is_bound()) {
           // Membership check: at most one continuation per call.
@@ -230,8 +266,9 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
       }
       case lang::Atom::Kind::kPredicate: {
         HERMES_ASSIGN_OR_RETURN(
-            goal_cost, EstimatePredicate(program, goal, env, depth,
-                                         active_predicates, estimation_ms));
+            goal_cost,
+            EstimatePredicate(program, goal, env, depth, active_predicates,
+                              estimation_ms, memo));
         for (const lang::Term& arg : goal.args) {
           if (arg.is_variable()) env.MarkBound(arg.var_name);
         }
@@ -250,19 +287,21 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimateBody(
     const lang::Program& program, const std::vector<lang::Atom>& goals,
-    const BindingEnv& env) const {
+    const BindingEnv& env, CostMemo* memo) const {
+  CostMemo call_memo;
   Estimate estimate;
   std::set<std::string> active;
   HERMES_ASSIGN_OR_RETURN(
       estimate.cost,
       EstimateBodyInternal(program, goals, env, 0, &active,
-                           &estimate.estimation_ms));
+                           &estimate.estimation_ms,
+                           memo != nullptr ? memo : &call_memo));
   return estimate;
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimatePlan(
-    const CandidatePlan& plan) const {
-  return EstimateBody(plan.program, plan.query.goals, BindingEnv());
+    const CandidatePlan& plan, CostMemo* memo) const {
+  return EstimateBody(plan.program, plan.query.goals, BindingEnv(), memo);
 }
 
 }  // namespace hermes::optimizer

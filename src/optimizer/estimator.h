@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -36,6 +37,32 @@ struct EstimatorParams {
   double per_predicate_stat_row_ms = 0.02;  ///< Simulated lookup charge.
 };
 
+/// Dcsm::Cost answers of one planning run, keyed by call pattern: each
+/// distinct pattern reaches the DCSM once. Callers still charge the
+/// answer's `lookup_ms` on every use, so simulated estimation time is what
+/// it would be without the memo. A memo never sees statistics recorded
+/// after it answered a pattern, so it must live no longer than one run.
+class CostMemo {
+ public:
+  const Result<dcsm::CostEstimate>& Cost(const dcsm::Dcsm& dcsm,
+                                         const lang::DomainCallSpec& pattern);
+
+ private:
+  /// Constants match only at the same type: Value equates `1` and `1.0`,
+  /// but Dcsm::Cost hands the typed pattern to native cost models, so
+  /// each typed pattern gets its own answer, as without the memo.
+  struct PatternHash {
+    size_t operator()(const lang::DomainCallSpec& pattern) const;
+  };
+  struct PatternEq {
+    bool operator()(const lang::DomainCallSpec& a,
+                    const lang::DomainCallSpec& b) const;
+  };
+  std::unordered_map<lang::DomainCallSpec, Result<dcsm::CostEstimate>,
+                     PatternHash, PatternEq>
+      answers_;
+};
+
 /// Section 7's rule cost estimator.
 ///
 /// Walks a fully-ordered plan left to right, obtaining per-call cost
@@ -54,29 +81,34 @@ class RuleCostEstimator {
 
   /// Estimate of one candidate plan. Returns InvalidArgument when the plan
   /// ordering is infeasible for the query's adornment (e.g. a domain call
-  /// argument can be free at execution time).
+  /// argument can be free at execution time). DCSM answers come from
+  /// `memo`, which the caller scopes to one planning run; null scopes a
+  /// memo to this call.
   struct Estimate {
     CostVector cost;
     double estimation_ms = 0.0;  ///< Simulated DCSM lookup time.
   };
-  Result<Estimate> EstimatePlan(const CandidatePlan& plan) const;
+  Result<Estimate> EstimatePlan(const CandidatePlan& plan,
+                                CostMemo* memo = nullptr) const;
 
   /// Estimates a body (query goals or rule body) under an initial binding
-  /// environment against `program`'s rules.
+  /// environment against `program`'s rules. `memo` as for EstimatePlan.
   Result<Estimate> EstimateBody(const lang::Program& program,
                                 const std::vector<lang::Atom>& goals,
-                                const BindingEnv& env) const;
+                                const BindingEnv& env,
+                                CostMemo* memo = nullptr) const;
 
  private:
   Result<CostVector> EstimateBodyInternal(
       const lang::Program& program, const std::vector<lang::Atom>& goals,
       BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-      double* estimation_ms) const;
+      double* estimation_ms, CostMemo* memo) const;
 
   Result<CostVector> EstimatePredicate(
       const lang::Program& program, const lang::Atom& atom,
       const BindingEnv& env, size_t depth,
-      std::set<std::string>* active_predicates, double* estimation_ms) const;
+      std::set<std::string>* active_predicates, double* estimation_ms,
+      CostMemo* memo) const;
 
   /// Converts a domain-call atom to a DCSM pattern under `env`; fails if
   /// any argument variable is free.

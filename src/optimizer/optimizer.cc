@@ -34,8 +34,12 @@ Result<OptimizerResult> QueryOptimizer::Optimize(
 
   OptimizerResult result;
   int best_index = -1;
+  // Candidates share most call patterns; each reaches the DCSM once per
+  // run, and the next run sees fresh statistics.
+  CostMemo memo;
   for (CandidatePlan& plan : plans) {
-    Result<RuleCostEstimator::Estimate> est = estimator_.EstimatePlan(plan);
+    Result<RuleCostEstimator::Estimate> est =
+        estimator_.EstimatePlan(plan, &memo);
     if (est.ok()) {
       plan.estimated = est->cost;
       plan.estimation_ms = est->estimation_ms;

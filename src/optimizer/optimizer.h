@@ -36,6 +36,10 @@ class QueryOptimizer {
         rewriter_options_(std::move(rewriter_options)),
         estimator_(dcsm, estimator_params) {}
 
+  /// Rewrites, estimates every candidate and picks the cheapest for
+  /// `goal`. Candidates carry only the rules reachable from `query`. Each
+  /// distinct DCSM call pattern is costed once per call (the memo does not
+  /// outlive it), so a later call sees statistics recorded in between.
   Result<OptimizerResult> Optimize(const lang::Program& program,
                                    const lang::Query& query,
                                    OptimizationGoal goal) const;

@@ -8,9 +8,9 @@
 
 namespace hermes::optimizer {
 
-/// One fully-ordered execution plan for a query: a rewritten program (rule
-/// bodies in execution order, selections pushed, calls possibly redirected
-/// to CIM) plus the reordered query goals.
+/// One fully-ordered execution plan for a query: a rewritten program (the
+/// rules reachable from the query, bodies in execution order, selections
+/// pushed, calls possibly redirected to CIM) plus the reordered query goals.
 struct CandidatePlan {
   lang::Program program;
   lang::Query query;

@@ -22,7 +22,8 @@ namespace hermes::optimizer {
 ///   3. subgoal reordering — every permutation of each body that keeps
 ///      domain-call arguments ground at execution time.
 ///
-/// The rewriter only transforms the rules reachable from the query.
+/// The rewriter only transforms the rules reachable from the query, and
+/// candidate plans carry only those rules: no other rule can execute.
 class RuleRewriter {
  public:
   struct Options {
@@ -48,6 +49,11 @@ class RuleRewriter {
   static Result<std::vector<CandidatePlan>> Rewrite(
       const lang::Program& program, const lang::Query& query,
       const Options& options);
+
+  /// The rules of `program` reachable from `query`'s goals, in program
+  /// order.
+  static lang::Program ReachableRules(const lang::Program& program,
+                                      const lang::Query& query);
 
   /// Redirects every domain call in `atoms` whose domain is in
   /// `cim_domains` to its CIM wrapper (`cim_<domain>`); returns how many

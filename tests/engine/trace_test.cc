@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+
 #include "engine/mediator.h"
 #include "lang/parser.h"
+#include "obs/trace.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
@@ -17,6 +22,45 @@ TEST(TraceTest, OffByDefault) {
       med.Query(testbed::AppendixQuery(3, false, 4, 47), QueryOptions{});
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->execution.trace.empty());
+}
+
+TEST(TraceTest, OptimizeSpanBracketsThePlanningWork) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
+  obs::Tracer tracer;
+  QueryOptions qo;
+  qo.tracer = &tracer;
+  Result<QueryResult> res =
+      med.Query(testbed::AppendixQuery(3, false, 4, 47), qo);
+  ASSERT_TRUE(res.ok()) << res.status();
+
+  const obs::Span* optimize = nullptr;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.name == "optimize") optimize = &span;
+  }
+  ASSERT_NE(optimize, nullptr);
+  ASSERT_NE(optimize->parent, 0u);
+  const obs::Span& query = tracer.spans()[optimize->parent - 1];
+  EXPECT_EQ(query.name, "query");
+  EXPECT_GE(optimize->wall_begin_us, query.wall_begin_us);
+  EXPECT_LE(optimize->wall_end_us, query.wall_end_us);
+  // Opened before the optimizer runs, so the rewrite and estimation show
+  // up as the span's own wall time: a sizable share of what planning the
+  // same query costs on its own (a span stamped after the optimizer
+  // returned lasts a few bookkeeping calls).
+  double plan_us = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(med.Plan(testbed::AppendixQuery(3, false, 4, 47), {}).ok());
+    plan_us = std::min(
+        plan_us, std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  EXPECT_GT(optimize->wall_end_us - optimize->wall_begin_us, plan_us / 4);
+  // Simulated clock: from 0 to the optimizer's DCSM lookup time.
+  EXPECT_DOUBLE_EQ(optimize->sim_begin_ms, 0.0);
+  EXPECT_DOUBLE_EQ(optimize->sim_end_ms, res->optimize_ms);
 }
 
 TEST(TraceTest, RecordsEveryCallInPipelineOrder) {

@@ -1,18 +1,44 @@
 // Integration tests asserting the *shape* of every reproduced experiment:
 // who wins, by roughly what factor, and where the crossovers fall — the
-// qualitative results of the paper's Section 8.
+// qualitative results of the paper's Section 8 — and golden files pinning
+// every Figure 5, Figure 6 and plan-choice row at full precision, so a
+// change meant to leave the experiments alone is checked byte for byte.
+// Regenerate after an intentional change with:
+//
+//   HERMES_UPDATE_GOLDENS=1 ./tests/integration_experiments_test
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
 
 #include "experiments/claims.h"
 #include "experiments/fig5.h"
 #include "experiments/fig6.h"
 #include "experiments/tradeoff.h"
+#include "golden_file.h"
 
 namespace hermes::experiments {
 namespace {
+
+using testing_golden::CompareGolden;
+
+/// One golden line: each text field followed by " | ", then the numbers at
+/// %.17g separated by spaces.
+std::string Fields(std::initializer_list<std::string> text,
+                   std::initializer_list<double> numbers) {
+  std::string out;
+  for (const std::string& t : text) out += t + " | ";
+  char buf[64];
+  for (double v : numbers) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+    out += " ";
+  }
+  out.back() = '\n';
+  return out;
+}
 
 class Fig5Shape : public ::testing::Test {
  protected:
@@ -41,6 +67,17 @@ const std::vector<Fig5Row>* Fig5Shape::rows_ = nullptr;
 
 TEST_F(Fig5Shape, AllRowsPresent) {
   EXPECT_EQ(rows_->size(), 3u * 2u * 4u);
+}
+
+TEST_F(Fig5Shape, RowsMatchGolden) {
+  std::string out;
+  for (const Fig5Row& row : *rows_) {
+    out += Fields({row.query, Fig5ConfigName(row.config), row.site},
+                  {row.t_first_ms, row.t_all_ms,
+                   static_cast<double>(row.tuples),
+                   static_cast<double>(row.bytes)});
+  }
+  CompareGolden("experiments_fig5.txt", out);
 }
 
 TEST_F(Fig5Shape, SameAnswersAcrossConfigurations) {
@@ -128,6 +165,17 @@ const std::vector<Fig6Row>* Fig6Shape::rows_ = nullptr;
 
 TEST_F(Fig6Shape, SixQueriesReported) { EXPECT_EQ(rows_->size(), 6u); }
 
+TEST_F(Fig6Shape, RowsMatchGolden) {
+  std::string out;
+  for (const Fig6Row& row : *rows_) {
+    out += Fields({row.query},
+                  {row.actual_first_ms, row.actual_all_ms,
+                   row.lossless_first_ms, row.lossless_all_ms,
+                   row.lossy_first_ms, row.lossy_all_ms});
+  }
+  CompareGolden("experiments_fig6.txt", out);
+}
+
 TEST_F(Fig6Shape, LosslessPredictionsCloseForAllAnswers) {
   // "The Lossy and the Lossless DCSM predictions closely match the actual
   // running times" — lossless within 25% on every query.
@@ -175,6 +223,19 @@ class ClaimsShape : public ::testing::Test {
 };
 
 const std::vector<PlanChoicePoint>* ClaimsShape::points_ = nullptr;
+
+TEST_F(ClaimsShape, PointsMatchGolden) {
+  std::string out;
+  for (const PlanChoicePoint& p : *points_) {
+    out += Fields({p.pair_label},
+                  {static_cast<double>(p.first_frame),
+                   static_cast<double>(p.last_frame), p.predicted_a_all,
+                   p.predicted_b_all, p.actual_a_all, p.actual_b_all,
+                   p.predicted_a_first, p.predicted_b_first,
+                   p.actual_a_first, p.actual_b_first});
+  }
+  CompareGolden("experiments_claims.txt", out);
+}
 
 TEST_F(ClaimsShape, AllAnswersWinnerAlmostAlwaysCorrect) {
   PlanChoiceSummary summary = SummarizePlanChoice(*points_);

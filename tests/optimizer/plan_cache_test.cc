@@ -218,6 +218,30 @@ TEST(PlanCacheTest, BreakerOpenInvalidatesPlansDependingOnTheSite) {
   EXPECT_FALSE(after->plan_cache_hit);
 }
 
+TEST(PlanCacheTest, SiteInvalidationSparesPlansThatNeverCallTheSite) {
+  std::unique_ptr<Mediator> med = RopeMediator();
+  ASSERT_TRUE(med->EnablePlanCache().ok());
+  const std::string query1 = testbed::AppendixQuery(1, false, 4, 47);
+  const std::string query3 = testbed::AppendixQuery(3, false, 4, 47);
+  ASSERT_TRUE(med->Query(query1, {}).ok());
+  ASSERT_TRUE(med->Query(query3, {}).ok());
+  ASSERT_EQ(med->plan_cache()->stats().entries, 2u);
+
+  // query1 calls only the video source; query3 also calls the relation.
+  // Rules the plan cannot reach (query2's and query4's relation calls) are
+  // not dependencies.
+  med->plan_cache()->InvalidateSite(
+      med->remote_link("relation")->site().name);
+  EXPECT_EQ(med->plan_cache()->stats().entries, 1u);
+
+  Result<QueryResult> again1 = med->Query(query1, {});
+  ASSERT_TRUE(again1.ok()) << again1.status();
+  EXPECT_TRUE(again1->plan_cache_hit);
+  Result<QueryResult> again3 = med->Query(query3, {});
+  ASSERT_TRUE(again3.ok()) << again3.status();
+  EXPECT_FALSE(again3->plan_cache_hit);
+}
+
 TEST(PlanCacheTest, DriftExceedanceInvalidatesThroughTheTrackerHook) {
   std::unique_ptr<Mediator> med = RopeMediator(/*caching=*/false);
   DiagnosticsOptions diag;

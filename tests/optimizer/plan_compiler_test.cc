@@ -7,34 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
-#include "common/io.h"
 #include "engine/mediator.h"
+#include "golden_file.h"
 #include "optimizer/plan_compiler.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
 namespace {
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(HERMES_TEST_SRCDIR) + "/golden/" + name;
-}
-
-void CompareGolden(const std::string& name, const std::string& actual) {
-  const std::string path = GoldenPath(name);
-  if (std::getenv("HERMES_UPDATE_GOLDENS") != nullptr) {
-    ASSERT_TRUE(WriteStringToFile(path, actual).ok());
-    GTEST_SKIP() << "golden updated: " << path;
-  }
-  Result<std::string> expected = ReadFileToString(path);
-  ASSERT_TRUE(expected.ok()) << "missing golden " << path
-                             << " (run with HERMES_UPDATE_GOLDENS=1)";
-  EXPECT_EQ(*expected, actual) << "EXPLAIN drifted from " << path
-                               << "; regenerate with HERMES_UPDATE_GOLDENS=1 "
-                                  "if the change is intentional";
-}
+using testing_golden::CompareGolden;
 
 struct RopeFixture {
   Mediator med;

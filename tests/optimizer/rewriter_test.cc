@@ -85,6 +85,39 @@ TEST(ValidOrderingsTest, CapIsHonored) {
   EXPECT_EQ(orderings.size(), 5u);  // 4! = 24 valid, capped at 5
 }
 
+TEST(ValidOrderingsTest, OrderingsWithIdenticalTextCollapse) {
+  // Swapping the two identical atoms gives the same text: of the 3! index
+  // permutations only the 3 positions of the g() call remain.
+  lang::Rule rule = *lang::Parser::ParseRule(
+      "m(A, B) :- in(A, d:f()) & in(A, d:f()) & in(B, d:g()).");
+  std::vector<std::vector<lang::Atom>> orderings =
+      RuleRewriter::ValidOrderings(rule.body, {}, 10);
+  ASSERT_EQ(orderings.size(), 3u);
+  EXPECT_EQ(BodyString(orderings[0]),
+            "in(A, d:f()) & in(A, d:f()) & in(B, d:g())");
+  EXPECT_EQ(BodyString(orderings[1]),
+            "in(A, d:f()) & in(B, d:g()) & in(A, d:f())");
+  EXPECT_EQ(BodyString(orderings[2]),
+            "in(B, d:g()) & in(A, d:f()) & in(A, d:f())");
+}
+
+TEST(ValidOrderingsTest, BindingChainsLongerThanAWordOfVariables) {
+  // X0 ← f(), then X(k+1) ← g(Xk), written in reverse: 100 variables, one
+  // executable order, found whatever the number of variables.
+  std::string text = "m(X99) :- ";
+  for (int k = 98; k >= 0; --k) {
+    text += "in(X" + std::to_string(k + 1) + ", d:g(X" + std::to_string(k) +
+            ")) & ";
+  }
+  text += "in(X0, d:f()).";
+  lang::Rule rule = *lang::Parser::ParseRule(text);
+  std::vector<std::vector<lang::Atom>> orderings =
+      RuleRewriter::ValidOrderings(rule.body, {}, 10);
+  ASSERT_EQ(orderings.size(), 1u);
+  std::vector<lang::Atom> expected(rule.body.rbegin(), rule.body.rend());
+  EXPECT_EQ(BodyString(orderings[0]), BodyString(expected));
+}
+
 TEST(RedirectToCimTest, RewritesOnlyListedDomains) {
   lang::Rule rule = *lang::Parser::ParseRule(
       "m(A, B) :- in(A, video:f()) & in(B, relation:g(A)).");
@@ -190,6 +223,27 @@ TEST(RewriteTest, CimVariantsGenerated) {
   }
   EXPECT_TRUE(direct);
   EXPECT_TRUE(cim);
+}
+
+TEST(RewriteTest, PlansCarryOnlyReachableRules) {
+  // Only `other` calls the cached domain, and the query cannot reach it:
+  // redirecting it changes nothing the plan can execute, so no CIM variant
+  // appears, and the plan holds m's and n's rules only.
+  lang::Program program = MustProgram(R"(
+    m(A) :- n(A).
+    other(B) :- in(B, video:f(2)).
+    n(A) :- in(A, d:g(1)).
+  )");
+  lang::Query query = MustQuery("?- m(A).");
+  RuleRewriter::Options options;
+  options.cim_domains = {"video"};
+  Result<std::vector<CandidatePlan>> plans =
+      RuleRewriter::Rewrite(program, query, options);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_EQ(plans->size(), 1u);
+  EXPECT_EQ((*plans)[0].description, "direct #0");
+  EXPECT_EQ((*plans)[0].program.ToString(),
+            "m(A) :- n(A).\nn(A) :- in(A, d:g(1)).\n");
 }
 
 TEST(RewriteTest, CimOnlySuppressesDirectPlans) {
