@@ -195,7 +195,7 @@ void Dcsm::BindMetrics(obs::MetricsRegistry& registry) {
 bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
                              ArgMask const_mask,
                              const std::vector<SummaryTable>* tables,
-                             const std::vector<CostRecord>* records,
+                             const CostVectorDatabase::Group* group,
                              CostEstimate* out, double* lookup_ms,
                              size_t* rows_scanned) const {
   if (tables != nullptr) {
@@ -224,8 +224,8 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
           (const_mask & ~table.dims_mask()) != 0) {
         continue;
       }
-      Result<Aggregate> agg = table.EstimateMasked(pattern, const_mask);
-      if (agg.ok()) {
+      std::optional<Aggregate> agg = table.EstimateMasked(pattern, const_mask);
+      if (agg.has_value()) {
         *lookup_ms += params_.per_summary_row_ms *
                       static_cast<double>(agg->rows_scanned);
         *rows_scanned += agg->rows_scanned;
@@ -240,20 +240,20 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
     }
   }
 
-  if (records != nullptr) {
-    Result<Aggregate> agg = db_.EstimateGroup(*records, pattern, const_mask,
-                                              options_.recency_halflife);
-    if (agg.ok()) {
-      *lookup_ms +=
-          params_.per_record_ms * static_cast<double>(agg->rows_scanned);
-      *rows_scanned += agg->rows_scanned;
+  if (group != nullptr) {
+    // The simulated charge models the paper's raw scan of the whole group,
+    // hit or miss, although the host answers from an aggregate index.
+    const size_t rows = group->records().size();
+    *lookup_ms += params_.per_record_ms * static_cast<double>(rows);
+    *rows_scanned += rows;
+    std::optional<Aggregate> agg = db_.EstimateGroup(
+        *group, pattern, const_mask, options_.recency_halflife);
+    if (agg.has_value()) {
       out->cost = agg->cost;
       out->source = "raw";
       out->records_matched = agg->matched;
       return true;
     }
-    *lookup_ms += params_.per_record_ms * static_cast<double>(records->size());
-    *rows_scanned += records->size();
   }
   return false;
 }
@@ -269,9 +269,9 @@ bool Dcsm::RelaxAndEstimate(const lang::DomainCallSpec& pattern,
     auto it = summaries_.find(key);
     if (it != summaries_.end()) tables = &it->second;
   }
-  const std::vector<CostRecord>* records =
-      options_.use_raw_database ? db_.GetGroup(key) : nullptr;
-  if (tables == nullptr && records == nullptr) return false;
+  const CostVectorDatabase::Group* group =
+      options_.use_raw_database ? db_.FindGroup(key) : nullptr;
+  if (tables == nullptr && group == nullptr) return false;
 
   std::vector<size_t> constants = ConstantPositions(pattern);
   ArgMask full_mask = 0;
@@ -285,9 +285,9 @@ bool Dcsm::RelaxAndEstimate(const lang::DomainCallSpec& pattern,
   // fully-relaxed pattern rather than enumerating 2^n subsets.
   const size_t n = constants.size();
   if (n > 16) {
-    return TryEstimateMasked(pattern, full_mask, tables, records, out,
+    return TryEstimateMasked(pattern, full_mask, tables, group, out,
                              lookup_ms, rows_scanned) ||
-           TryEstimateMasked(pattern, 0, tables, records, out, lookup_ms,
+           TryEstimateMasked(pattern, 0, tables, group, out, lookup_ms,
                              rows_scanned);
   }
   for (size_t keep = n + 1; keep-- > 0;) {
@@ -299,13 +299,18 @@ bool Dcsm::RelaxAndEstimate(const lang::DomainCallSpec& pattern,
           const_mask |= ArgMask{1} << constants[b];
         }
       }
-      if (TryEstimateMasked(pattern, const_mask, tables, records, out,
+      if (TryEstimateMasked(pattern, const_mask, tables, group, out,
                             lookup_ms, rows_scanned)) {
         return true;
       }
     }
   }
   return false;
+}
+
+Result<Aggregate> Dcsm::Observed(const lang::DomainCallSpec& pattern) const {
+  std::shared_lock lock(mu_);
+  return db_.Estimate(pattern);
 }
 
 Result<CostEstimate> Dcsm::Cost(const lang::DomainCallSpec& pattern) const {

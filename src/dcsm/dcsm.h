@@ -135,6 +135,11 @@ class Dcsm {
   /// a call pattern (`$b` marks bound-but-unknown arguments).
   Result<CostEstimate> Cost(const lang::DomainCallSpec& pattern) const;
 
+  /// The raw-database aggregate of the records matching `pattern` exactly:
+  /// no relaxation, summaries or recency weighting. Takes the shared lock,
+  /// so it may run while queries record statistics.
+  Result<Aggregate> Observed(const lang::DomainCallSpec& pattern) const;
+
   // ---- Introspection ---------------------------------------------------------
 
   /// Unguarded access to the raw statistics database — wiring/report-time
@@ -175,12 +180,12 @@ class Dcsm {
 
   /// Tries to answer `pattern` restricted to the kept-constant positions in
   /// `const_mask` (see ArgMask), consulting the pre-located `tables` and
-  /// `records` (either may be null). Returns true and fills `*out` on
-  /// success; accumulates lookup cost either way.
+  /// raw record `group` (either may be null). Returns true and fills
+  /// `*out` on success; accumulates lookup cost either way.
   bool TryEstimateMasked(const lang::DomainCallSpec& pattern,
                          ArgMask const_mask,
                          const std::vector<SummaryTable>* tables,
-                         const std::vector<CostRecord>* records,
+                         const CostVectorDatabase::Group* group,
                          CostEstimate* out, double* lookup_ms,
                          size_t* rows_scanned) const;
 

@@ -33,18 +33,7 @@ void SummaryTable::Fold(const CostRecord& record) {
   SummaryRow& row = rows_[row_key];
   if (row.l == 0) row.dims = std::move(dim_values);
   ++row.l;
-  if (record.has_t_first) {
-    row.sum_t_first += record.cost.t_first_ms;
-    row.weight_t_first += 1.0;
-  }
-  if (record.has_t_all) {
-    row.sum_t_all += record.cost.t_all_ms;
-    row.weight_t_all += 1.0;
-  }
-  if (record.has_cardinality) {
-    row.sum_cardinality += record.cost.cardinality;
-    row.weight_cardinality += 1.0;
-  }
+  row.sums.Add(record);
 }
 
 const SummaryRow* SummaryTable::Lookup(const ValueList& dim_values) const {
@@ -72,13 +61,17 @@ Result<Aggregate> SummaryTable::EstimateForPattern(
     return Status::InvalidArgument("summary table " + key_.ToString() +
                                    " cannot answer " + pattern.ToString());
   }
-  return EstimateMasked(pattern, kAllArgs);
+  std::optional<Aggregate> agg = EstimateMasked(pattern, kAllArgs);
+  if (!agg.has_value()) {
+    return Status::NotFound("no summary rows matching " + pattern.ToString());
+  }
+  return *agg;
 }
 
-Result<Aggregate> SummaryTable::EstimateMasked(
+std::optional<Aggregate> SummaryTable::EstimateMasked(
     const lang::DomainCallSpec& pattern, ArgMask const_mask) const {
   Aggregate agg;
-  double sum_tf = 0, w_tf = 0, sum_ta = 0, w_ta = 0, sum_card = 0, w_card = 0;
+  CostSums sums;
   for (const auto& [row_key, row] : rows_) {
     ++agg.rows_scanned;
     bool matches = true;
@@ -93,28 +86,10 @@ Result<Aggregate> SummaryTable::EstimateMasked(
     }
     if (!matches) continue;
     agg.matched += row.l;
-    sum_tf += row.sum_t_first;
-    w_tf += row.weight_t_first;
-    sum_ta += row.sum_t_all;
-    w_ta += row.weight_t_all;
-    sum_card += row.sum_cardinality;
-    w_card += row.weight_cardinality;
+    sums.Merge(row.sums);
   }
-  if (agg.matched == 0) {
-    return Status::NotFound("no summary rows matching " + pattern.ToString());
-  }
-  if (w_tf > 0) {
-    agg.cost.t_first_ms = sum_tf / w_tf;
-    agg.has_t_first = true;
-  }
-  if (w_ta > 0) {
-    agg.cost.t_all_ms = sum_ta / w_ta;
-    agg.has_t_all = true;
-  }
-  if (w_card > 0) {
-    agg.cost.cardinality = sum_card / w_card;
-    agg.has_cardinality = true;
-  }
+  if (agg.matched == 0) return std::nullopt;
+  sums.Finish(&agg);
   return agg;
 }
 

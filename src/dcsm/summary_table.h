@@ -15,18 +15,14 @@ namespace hermes::dcsm {
 /// paper's `l` attribute — the number of original records folded in.
 struct SummaryRow {
   ValueList dims;  ///< Values of the retained dimension positions.
-  double sum_t_first = 0, weight_t_first = 0;
-  double sum_t_all = 0, weight_t_all = 0;
-  double sum_cardinality = 0, weight_cardinality = 0;
+  CostSums sums;
   uint64_t l = 0;
 
   /// The averaged cost vector of this row.
   CostVector Mean() const {
-    return CostVector(weight_t_first > 0 ? sum_t_first / weight_t_first : 0,
-                      weight_t_all > 0 ? sum_t_all / weight_t_all : 0,
-                      weight_cardinality > 0
-                          ? sum_cardinality / weight_cardinality
-                          : 0);
+    Aggregate agg;
+    sums.Finish(&agg);
+    return agg.cost;
   }
 };
 
@@ -80,9 +76,10 @@ class SummaryTable {
   /// outside `const_mask` act as `$b` even when the pattern holds a
   /// constant there. The caller guarantees the effective constant set is a
   /// subset of `dims()` (compare masks) and that the pattern's group
-  /// matches `key()`. Avoids the per-relaxation-step spec copy.
-  Result<Aggregate> EstimateMasked(const lang::DomainCallSpec& pattern,
-                                   ArgMask const_mask) const;
+  /// matches `key()`. Avoids the per-relaxation-step spec copy. Returns
+  /// nullopt when no row matches.
+  std::optional<Aggregate> EstimateMasked(const lang::DomainCallSpec& pattern,
+                                          ArgMask const_mask) const;
 
   /// True when the table's dimensions include every constant position of
   /// `pattern`, i.e. the table can answer for it.

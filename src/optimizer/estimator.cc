@@ -175,11 +175,11 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
                                  ? lang::Term::Const(info.constant)
                                  : lang::Term::Bound());
     }
-    Result<dcsm::Aggregate> observed = dcsm_->database().Estimate(pattern);
+    Result<dcsm::Aggregate> observed = dcsm_->Observed(pattern);
     if (!observed.ok()) {
       // Relax fully: any past invocation of this predicate.
       for (lang::Term& arg : pattern.args) arg = lang::Term::Bound();
-      observed = dcsm_->database().Estimate(pattern);
+      observed = dcsm_->Observed(pattern);
     }
     if (observed.ok() && observed->has_t_first) {
       t_first = observed->cost.t_first_ms;
