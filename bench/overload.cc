@@ -1,22 +1,22 @@
-// Open-loop saturation driver for the overload-control subsystem.
+// Open-loop saturation driver: the pool's bounded queue with and without
+// hedged requests.
 //
 // Offered load is decoupled from service capacity (open loop): queries
-// arrive at a fixed rate regardless of how far the pool has fallen behind,
-// which is the regime where admission control, CoDel shedding, per-site
-// concurrency limits and hedging earn their keep. The driver
+// arrive at a fixed rate regardless of how far the pool has fallen behind.
+// The driver
 //
 //   1. calibrates 1x capacity (closed-loop queries/sec of the pool),
-//   2. replays the same workload at 1x/2x/4x offered load under three
-//      configurations — baseline (bounded queue only), overload (admission
-//      + AIMD limiter + brownout), overload+hedge — and
-//   3. records goodput, wall/simulated latency percentiles, shed rates and
-//      hedge traffic per run into BENCH_overload.json.
+//   2. replays the same workload at 1x/2x/4x offered load under two
+//      configurations — baseline (bounded queue only) and hedge (the same
+//      plus hedged requests to failover replicas) — and
+//   3. records goodput, wall/simulated latency percentiles, queue-full
+//      rejections and hedge traffic per run into BENCH_overload.json.
 //
 // The workload runs on the generated 32-site topology (4 latency/
-// availability tiers, fast failover replicas on even sites); each query
-// scatter-gathers `kFanout` calls to one site, so the per-query limiter
-// window and hedge trigger see real concurrency. Service pacing turns
-// simulated latency into real, overlappable wall wait.
+// availability tiers, fast failover replicas on every non-fast site); each
+// query scatter-gathers `kFanout` calls to one site, so the per-query
+// hedge trigger sees real concurrency. Service pacing turns simulated
+// latency into real, overlappable wall wait.
 //
 // Usage: bench_overload [--out=BENCH_overload.json] [--queries=N]
 
@@ -50,9 +50,7 @@ constexpr double kDeadlineSimMs = 20000.0;  ///< Per-query deadline (sim).
 
 struct RunConfig {
   std::string name;
-  bool admission = false;  ///< Pool admission + CoDel + brownout ladder.
-  bool limiter = false;    ///< Per-site AIMD concurrency limits.
-  bool hedge = false;      ///< Hedged requests to failover replicas.
+  bool hedge = false;  ///< Hedged requests to failover replicas.
 };
 
 struct RunStats {
@@ -61,14 +59,12 @@ struct RunStats {
   uint64_t offered = 0;    ///< Arrival events (submissions attempted).
   uint64_t good = 0;       ///< Queries answered OK and complete.
   uint64_t partial = 0;    ///< Answered OK but partial/degraded.
-  uint64_t shed = 0;       ///< Typed kResourceExhausted anywhere.
+  uint64_t shed = 0;       ///< Refused by the full queue (typed).
   uint64_t failed = 0;     ///< Any other error.
   uint64_t calls = 0;      ///< Domain calls issued (admitted queries).
-  uint64_t load_shed_calls = 0;
   uint64_t hedges = 0;
   uint64_t hedge_wins = 0;
   QueryPoolStats pool;
-  int brownout_level = 0;  ///< Ladder level at end of run.
   std::vector<double> wall_ms;  ///< Submit → observed completion, answered.
   std::vector<double> sim_ms;   ///< ta_sim_ms of answered queries.
 };
@@ -88,29 +84,9 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
 std::unique_ptr<Mediator> MakeMediator(const RunConfig& cfg,
                                        testbed::TopologyInfo* info) {
   auto med = std::make_unique<Mediator>();
-  testbed::TopologyOptions topo;
-  topo.num_sites = kNumSites;
-  Status wired = testbed::SetupOverloadTopology(med.get(), topo, info);
-  if (!wired.ok()) {
-    std::fprintf(stderr, "topology: %s\n", wired.ToString().c_str());
-    std::exit(1);
-  }
-  med->set_per_query_network_rng(true);
-  med->set_async_execution(true);
-  med->set_service_pacing(kPacing);
-  if (cfg.limiter || cfg.hedge) {
-    overload::OverloadPolicy policy;
-    policy.limiter.enabled = cfg.limiter;
-    // The limiter starts at the full fanout: it sheds only after failures
-    // or above-baseline latency shrank the limit — protection, not a cap.
-    policy.limiter.initial_limit = static_cast<double>(kFanout);
-    policy.limiter.max_limit = static_cast<double>(2 * kFanout);
-    policy.limiter.min_limit = 4.0;
-    // A single transient failure should not halve a 24-branch scatter's
-    // limit mid-query: back off, but gently enough that the rest of the
-    // fanout still lands.
-    policy.limiter.multiplicative_decrease = 0.7;
-    policy.hedge.enabled = cfg.hedge;
+  if (cfg.hedge) {
+    resilience::ResiliencePolicy policy;
+    policy.hedge.enabled = true;
     // p97 of the trailing ring: a lower quantile hedges ~1-in-10 *successful*
     // calls (pure jitter) and blows the extra-call budget; the tail worth
     // paying for is failures and true stragglers.
@@ -126,24 +102,26 @@ std::unique_ptr<Mediator> MakeMediator(const RunConfig& cfg,
     // first is free and a second would need 25 calls. The measured
     // extra-call fraction is what the JSON reports.
     policy.hedge.budget_percent = 4;
-    Status armed = med->EnableOverloadControl(policy, {});
-    if (!armed.ok()) {
-      std::fprintf(stderr, "overload: %s\n", armed.ToString().c_str());
-      std::exit(1);
-    }
+    med->set_default_resilience_policy(policy);
   }
+  testbed::TopologyOptions topo;
+  topo.num_sites = kNumSites;
+  Status wired = testbed::SetupOverloadTopology(med.get(), topo, info);
+  if (!wired.ok()) {
+    std::fprintf(stderr, "topology: %s\n", wired.ToString().c_str());
+    std::exit(1);
+  }
+  med->set_per_query_network_rng(true);
+  med->set_async_execution(true);
+  med->set_service_pacing(kPacing);
   return med;
 }
 
-QueryOptions WorkloadOptions(uint64_t k) {
+QueryOptions WorkloadOptions() {
   QueryOptions q;
   q.use_optimizer = false;
-  q.record_statistics = true;  // feeds the DCSM → the limiter's baseline
-  q.partial_results = true;    // a shed branch loses a source, not the query
-  // 2:6:2 priority mix; only non-high classes face CoDel/brownout.
-  const uint64_t r = k % 10;
-  q.priority = r < 2 ? QueryPriority::kHigh
-                     : (r < 8 ? QueryPriority::kNormal : QueryPriority::kLow);
+  q.record_statistics = true;  // feeds the DCSM → the cold-ring baseline
+  q.partial_results = true;    // a lost branch loses a source, not the query
   q.deadline_ms = kDeadlineSimMs;
   return q;
 }
@@ -173,7 +151,6 @@ void Harvest(std::deque<Pending>& pending, RunStats& stats, bool block) {
       stats.wall_ms.push_back(wall);
       stats.sim_ms.push_back(res->ta_sim_ms);
       stats.calls += res->metrics.domain_calls;
-      stats.load_shed_calls += res->metrics.load_shed;
       stats.hedges += res->metrics.hedges;
       stats.hedge_wins += res->metrics.hedge_wins;
     } else if (res.status().IsResourceExhausted()) {
@@ -192,9 +169,6 @@ RunStats RunOpenLoop(const RunConfig& cfg, double offered_qps,
   QueryPoolOptions pool_options;
   pool_options.num_threads = kPoolThreads;
   pool_options.queue_capacity = kQueueCapacity;
-  pool_options.admission.enabled = cfg.admission;
-  pool_options.admission.codel_target_ms = 10.0;
-  pool_options.admission.codel_interval_ms = 40.0;
   std::unique_ptr<QueryPool> pool = med->Serve(pool_options);
 
   RunStats stats;
@@ -216,7 +190,7 @@ RunStats RunOpenLoop(const RunConfig& cfg, double offered_qps,
     Pending p;
     p.submitted_at = Clock::now();
     Status submitted = pool->TrySubmit(testbed::TopologyQuery(info, k, kFanout),
-                                       WorkloadOptions(k), &p.future);
+                                       WorkloadOptions(), &p.future);
     if (submitted.ok()) {
       pending.push_back(std::move(p));
     } else if (submitted.IsResourceExhausted()) {
@@ -229,8 +203,6 @@ RunStats RunOpenLoop(const RunConfig& cfg, double offered_qps,
   Harvest(pending, stats, /*block=*/true);
   stats.elapsed_s = MsBetween(start, Clock::now()) / 1000.0;
   stats.pool = pool->stats();
-  stats.brownout_level =
-      med->brownout() != nullptr ? med->brownout()->level() : 0;
   pool->Shutdown();
   return stats;
 }
@@ -252,7 +224,7 @@ double CalibrateCapacity(uint64_t num_queries) {
   for (uint64_t k = 0; k < num_queries; ++k) {
     pending.push_back(
         pool->Submit(testbed::TopologyQuery(info, k, kFanout),
-                     WorkloadOptions(k)));
+                     WorkloadOptions()));
     while (pending.size() > 2 * kPoolThreads) {
       (void)pending.front().get();
       pending.pop_front();
@@ -288,11 +260,8 @@ std::string RunJson(const RunConfig& cfg, double load_factor, RunStats& s) {
       "\"shed_rate\": %.4f, "
       "\"wall_p50_ms\": %.3f, \"wall_p95_ms\": %.3f, \"wall_p99_ms\": %.3f, "
       "\"sim_p50_ms\": %.1f, \"sim_p95_ms\": %.1f, \"sim_p99_ms\": %.1f, "
-      "\"calls\": %llu, \"load_shed_calls\": %llu, \"hedges\": %llu, "
-      "\"hedge_wins\": %llu, \"extra_call_fraction\": %.4f, "
-      "\"pool_rejected\": %llu, \"pool_shed_deadline\": %llu, "
-      "\"pool_shed_codel\": %llu, \"pool_shed_brownout\": %llu, "
-      "\"brownout_level\": %d}",
+      "\"calls\": %llu, \"hedges\": %llu, \"hedge_wins\": %llu, "
+      "\"extra_call_fraction\": %.4f, \"pool_rejected\": %llu}",
       cfg.name.c_str(), load_factor, s.offered_qps, s.elapsed_s,
       static_cast<unsigned long long>(s.offered),
       static_cast<unsigned long long>(answered),
@@ -304,14 +273,9 @@ std::string RunJson(const RunConfig& cfg, double load_factor, RunStats& s) {
       Quantile(s.wall_ms, 0.99), Quantile(s.sim_ms, 0.50),
       Quantile(s.sim_ms, 0.95), Quantile(s.sim_ms, 0.99),
       static_cast<unsigned long long>(s.calls),
-      static_cast<unsigned long long>(s.load_shed_calls),
       static_cast<unsigned long long>(s.hedges),
       static_cast<unsigned long long>(s.hedge_wins), extra_call_fraction,
-      static_cast<unsigned long long>(s.pool.rejected),
-      static_cast<unsigned long long>(s.pool.shed_deadline),
-      static_cast<unsigned long long>(s.pool.shed_codel),
-      static_cast<unsigned long long>(s.pool.shed_brownout),
-      s.brownout_level);
+      static_cast<unsigned long long>(s.pool.rejected));
   return buf;
 }
 
@@ -329,15 +293,14 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== Overload-control saturation driver ===\n");
+  std::printf("=== Open-loop saturation driver (baseline vs hedge) ===\n");
   std::printf("calibrating 1x capacity (closed loop)...\n");
   const double capacity_qps = CalibrateCapacity(num_queries / 2);
   std::printf("capacity: %.1f queries/sec\n\n", capacity_qps);
 
   const RunConfig configs[] = {
-      {"baseline", false, false, false},
-      {"overload", true, true, false},
-      {"overload+hedge", true, true, true},
+      {"baseline", false},
+      {"hedge", true},
   };
   const double loads[] = {1.0, 2.0, 4.0};
 

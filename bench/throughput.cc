@@ -410,42 +410,35 @@ BENCHMARK(BM_ConcurrentQuery_PlanCacheHitMix)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Overload mix: fan-out queries over the generated 32-site topology with
-// the overload layer in the three states a production mediator would run —
-// off, limiter armed, limiter+hedging armed. The contrast shows what the
-// per-site AIMD window and the hedge bookkeeping cost on the hot path
-// (overload:0 vs 1) and what hedging pays/saves end to end (hedge:1, which
-// also reports hedge traffic via sim_ms_per_query shifts). Never-repeating
+// hedged requests off and on. The contrast shows what the hedge
+// bookkeeping costs on the hot path and what hedging pays/saves end to end
+// (hedge traffic shows up as sim_ms_per_query shifts). Never-repeating
 // arguments keep every call a miss.
 
-Mediator* OverloadMixMediator(bool overload_on, bool hedge_on) {
-  auto make = [](bool arm, bool hedge) {
+Mediator* OverloadMixMediator(bool hedge_on) {
+  auto make = [](bool hedge) {
     auto* m = new Mediator();
+    if (hedge) {
+      resilience::ResiliencePolicy policy;
+      policy.hedge.enabled = true;
+      policy.hedge.min_samples = 4;
+      policy.hedge.budget_percent = 25;
+      m->set_default_resilience_policy(policy);
+    }
     testbed::TopologyOptions topo;
     (void)testbed::SetupOverloadTopology(m, topo, nullptr);
     m->set_per_query_network_rng(true);
     m->set_async_execution(true);
-    if (arm) {
-      overload::OverloadPolicy policy;
-      policy.limiter.enabled = true;
-      policy.limiter.initial_limit = 8.0;
-      policy.hedge.enabled = hedge;
-      policy.hedge.min_samples = 4;
-      policy.hedge.budget_percent = 25;
-      (void)m->EnableOverloadControl(policy, {});
-    }
     m->set_service_pacing(0.002);
     return m;
   };
-  static Mediator* off_med = make(false, false);
-  static Mediator* limiter_med = make(true, false);
-  static Mediator* hedge_med = make(true, true);
-  return overload_on ? (hedge_on ? hedge_med : limiter_med) : off_med;
+  static Mediator* off_med = make(false);
+  static Mediator* hedge_med = make(true);
+  return hedge_on ? hedge_med : off_med;
 }
 
 void BM_ConcurrentQuery_OverloadMix(benchmark::State& state) {
-  const bool overload_on = state.range(0) != 0;
-  const bool hedge_on = state.range(1) != 0;
-  Mediator* med = OverloadMixMediator(overload_on, hedge_on);
+  Mediator* med = OverloadMixMediator(/*hedge_on=*/state.range(0) != 0);
   // Mirrors what SetupOverloadTopology registered (TopologyQuery only
   // needs the primary domain names).
   static testbed::TopologyInfo info = [] {
@@ -478,7 +471,7 @@ void BM_ConcurrentQuery_OverloadMix(benchmark::State& state) {
       benchmark::Counter(sim_ms, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ConcurrentQuery_OverloadMix)
-    ->ArgNames({"overload", "hedge"})->Args({0, 0})->Args({1, 0})->Args({1, 1})
+    ->ArgNames({"hedge"})->Args({0})->Args({1})
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 

@@ -35,7 +35,7 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
   Result<CallOutput> out = cim_->RunWith(
       call,
       [&ctx, &next](const DomainCall& actual) { return next(ctx, actual); },
-      &outcome, ctx.prefer_stale);
+      &outcome);
 
   if (outcome == CimOutcome::kMiss) {
     ++ctx.metrics.cache_misses;

@@ -216,8 +216,7 @@ Result<CallOutput> CimDomain::Run(const DomainCall& raw_call) {
 
 Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
                                       const ActualCallFn& actual,
-                                      CimOutcome* outcome,
-                                      bool prefer_stale) {
+                                      CimOutcome* outcome) {
   // Normalize to the logical domain name used by rules/invariants/cache.
   DomainCall call = raw_call;
   call.domain = target_domain_;
@@ -231,16 +230,6 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
     lead_ms += params_.exact_lookup_ms;
     std::optional<CacheEntry> entry = cache_.Get(call);
     if (entry.has_value() && IsStale(*entry)) {
-      if (prefer_stale && entry->complete) {
-        // Brownout: a stale complete entry stands in without touching the
-        // source at all — that is exactly the load the ladder sheds.
-        stats_.stale_serves->Add(1);
-        if (outcome != nullptr) *outcome = CimOutcome::kExactHit;
-        CallOutput out =
-            ServeFromCache(std::move(*entry), lead_ms, /*complete=*/true);
-        out.degraded = true;
-        return out;
-      }
       // Lazily age out — except when stale entries double as the outage
       // fallback's salvage material (a successful refresh overwrites them
       // anyway).
@@ -322,13 +311,8 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
   stats_.misses->Add(1);
   Result<CallOutput> full = RunActual(call, actual);
   if (!full.ok()) {
-    // Under brownout the stale fallback also masks load-shed calls — the
-    // limiter turned the source away, the cache keeps the query whole.
-    const bool maskable =
-        full.status().IsUnavailable() ||
-        (prefer_stale && full.status().IsResourceExhausted());
-    if (maskable) {
-      if (options_.serve_stale_on_unavailable || prefer_stale) {
+    if (full.status().IsUnavailable()) {
+      if (options_.serve_stale_on_unavailable) {
         // Last rung of the degradation ladder: any subsuming entry — stale
         // or incomplete — beats failing the query outright.
         double salvage_ms = 0.0;
@@ -343,7 +327,7 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
           return out;
         }
       }
-      if (full.status().IsUnavailable()) stats_.unavailable_failed->Add(1);
+      stats_.unavailable_failed->Add(1);
     }
     return full.status();
   }

@@ -146,15 +146,9 @@ class CimDomain : public Domain {
   /// exact hit → equality invariant → subset invariant (partial) → actual
   /// call via `actual`, whose complete results are inserted into the cache.
   /// When `outcome` is non-null it receives how the call was resolved.
-  /// `prefer_stale` (brownout ladder) serves a stale complete entry
-  /// directly instead of refreshing it, and arms the stale fallback for
-  /// unavailable AND load-shed actual calls regardless of
-  /// `serve_stale_on_unavailable` — shedding source load at the cost of
-  /// degraded freshness.
   Result<CallOutput> RunWith(const DomainCall& raw_call,
                              const ActualCallFn& actual,
-                             CimOutcome* outcome = nullptr,
-                             bool prefer_stale = false);
+                             CimOutcome* outcome = nullptr);
 
   ResultCache& cache() { return cache_; }
   /// A coherent-enough snapshot of the outcome counters (each counter is

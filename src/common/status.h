@@ -20,7 +20,7 @@ enum class StatusCode {
   kTypeError,         ///< Value of an unexpected runtime type.
   kUnimplemented,     ///< Feature not supported by this domain/module.
   kInternal,          ///< Invariant violation inside the library.
-  kResourceExhausted,  ///< Shed by admission control or a concurrency limit.
+  kResourceExhausted,  ///< Refused by a full QueryPool submission queue.
 };
 
 /// Human-readable name of a StatusCode ("Ok", "NotFound", ...).

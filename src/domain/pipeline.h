@@ -53,7 +53,6 @@ class DriftTracker;
   X(degraded_calls)                          \
   X(failovers)                               \
   X(coalesced_calls)                         \
-  X(load_shed)                               \
   X(hedges)                                  \
   X(hedge_wins)
 
@@ -90,12 +89,10 @@ struct CallMetrics {
   uint64_t deadline_aborts = 0;  ///< Calls abandoned at a deadline.
   uint64_t degraded_calls = 0;   ///< Calls served from stale/partial material.
   uint64_t failovers = 0;        ///< Calls completed via an alternate site.
+  uint64_t hedges = 0;           ///< Speculative hedge calls issued.
+  uint64_t hedge_wins = 0;       ///< Hedges that beat the primary call.
   // Single-flight layer.
   uint64_t coalesced_calls = 0;  ///< Calls served from another query's flight.
-  // Overload layer.
-  uint64_t load_shed = 0;    ///< Calls shed by the per-site AIMD limiter.
-  uint64_t hedges = 0;       ///< Speculative hedge calls issued.
-  uint64_t hedge_wins = 0;   ///< Hedges that beat the primary call.
   double network_charge = 0.0;   ///< Financial access fees accrued.
   double network_ms = 0.0;       ///< Simulated network time consumed.
   double retry_backoff_ms = 0.0; ///< Simulated backoff wait between retries.
@@ -231,36 +228,17 @@ struct CallContext {
   };
   std::map<std::string, BreakerState> breaker_states;  ///< Keyed by site.
 
-  // ---- Overload state (per-query, same determinism contract as breakers).
-
-  /// True while the resilience layer is running a half-open breaker probe;
-  /// the overload layer below exempts probes from limiter accounting so a
-  /// recovering site is never starved of its probe traffic.
-  bool breaker_probe = false;
-  /// When true the cache layer serves stale entries as if
-  /// `serve_stale_on_unavailable` were wired on — set by the mediator while
-  /// the brownout ladder is at the degrade level or above.
-  bool prefer_stale = false;
-  /// When true the overload layer never hedges this query's calls — set by
-  /// the mediator while the brownout ladder disables hedging.
-  bool hedging_disabled = false;
-
-  /// Per-site AIMD limiter + hedge-trigger state, scoped to this query so
-  /// shed/hedge decisions are a pure function of the query's own call
-  /// sequence on the simulated clock (bit-identical replay at any QueryPool
-  /// thread count — the breaker precedent).
-  struct OverloadState {
-    double limit = 0.0;  ///< Current AIMD window limit (0 = uninitialized).
-    /// Simulated completion times of in-window calls; entries at or before
-    /// `now_ms` have drained and are pruned at the next admission check.
-    std::vector<double> in_flight_until_ms;
+  /// Per-site hedge-trigger state, scoped to this query like the breakers:
+  /// every hedge decision is a pure function of the query's own call
+  /// sequence on the simulated clock.
+  struct HedgeState {
     /// Trailing observed all_ms latencies (bounded ring, hedge trigger).
     std::vector<double> latency_window;
     size_t latency_next = 0;  ///< Next write slot in `latency_window`.
-    uint64_t calls_seen = 0;  ///< Admitted calls (hedge-budget denominator).
+    uint64_t calls_seen = 0;  ///< Answered calls (hedge-budget denominator).
     uint64_t hedges_issued = 0;
   };
-  std::map<std::string, OverloadState> overload_states;  ///< Keyed by site.
+  std::map<std::string, HedgeState> hedge_states;  ///< Keyed by site.
 
   /// Charges one domain call against the budget; fails once exhausted.
   Status ChargeCall();

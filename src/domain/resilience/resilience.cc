@@ -1,6 +1,8 @@
 #include "domain/resilience/resilience.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/flight_recorder.h"
@@ -21,6 +23,22 @@ void RecordBreakerEvent(CallContext& ctx, const std::string& site,
   ev.set_site(site);
   ev.set_detail(to_state);
   ev.aux = consecutive_failures;
+  ctx.recorder->Emit(ev);
+}
+
+/// Flight-recorder note of a hedge step ("issued", "win", "cancelled") on
+/// `site` at `sim_ms`.
+void RecordHedgeEvent(CallContext& ctx, const std::string& site,
+                      const std::string& domain, const char* detail,
+                      double sim_ms, double value, uint64_t hedges_issued) {
+  if (ctx.recorder == nullptr) return;
+  obs::FlightEvent ev = obs::FlightEvent::Make(
+      obs::FlightEventKind::kHedge, ctx.query_id, ctx.recorder_seq++, sim_ms);
+  ev.set_site(site);
+  ev.set_domain(domain);
+  ev.set_detail(detail);
+  ev.value = value;
+  ev.aux = hedges_issued;
   ctx.recorder->Emit(ev);
 }
 
@@ -74,13 +92,156 @@ void ResilienceInterceptor::BindMetrics(obs::MetricsRegistry& registry,
   registry.Register("hermes_resilience_backoff_sim_ms_total",
                     "Simulated time spent waiting between retry attempts",
                     labels, backoff_ms_);
+  registry.Register("hermes_hedge_issued_total",
+                    "Speculative hedge calls issued past the trailing-latency "
+                    "trigger",
+                    labels, hedges_);
+  registry.Register("hermes_hedge_wins_total",
+                    "Hedge calls whose response beat the primary", labels,
+                    hedge_wins_);
+  registry.Register("hermes_hedge_cancelled_total",
+                    "Hedge calls cancelled because the primary won", labels,
+                    hedge_cancelled_);
+}
+
+double ResilienceInterceptor::HedgeTriggerMs(
+    const CallContext::HedgeState& st, const DomainCall& call) const {
+  if (st.latency_window.size() < policy_.hedge.min_samples) {
+    // Cold ring: borrow the cross-query DCSM baseline so the first few
+    // calls of a query are still hedgeable. The factor keeps ordinary
+    // jitter (bounded well under 2× the mean) from wasting budget.
+    if (policy_.hedge.baseline_trigger_factor > 0.0 && baseline_) {
+      double base = baseline_(call);
+      if (base > 0.0) return policy_.hedge.baseline_trigger_factor * base;
+    }
+    return -1.0;
+  }
+  // Nearest-rank quantile over a copy of the trailing ring; the ring is
+  // bounded by kHedgeWindow so this stays cheap.
+  std::vector<double> sorted(st.latency_window);
+  std::sort(sorted.begin(), sorted.end());
+  double rank = policy_.hedge.quantile * static_cast<double>(sorted.size() - 1);
+  size_t index = static_cast<size_t>(rank);
+  if (index >= sorted.size()) index = sorted.size() - 1;
+  return sorted[index];
+}
+
+Result<CallOutput> ResilienceInterceptor::Attempt(CallContext& ctx,
+                                                  const DomainCall& call,
+                                                  const Next& next,
+                                                  bool probe) {
+  // A half-open probe goes out alone: it is the traffic that decides
+  // whether the breaker closes, so a replica must not answer for it.
+  if (!policy_.hedge.enabled || failover_ == nullptr || probe) {
+    return next(ctx, call);
+  }
+  const std::string& site_key = site_name_.empty() ? call.domain : site_name_;
+  CallContext::HedgeState& st = ctx.hedge_states[site_key];
+  const double t_open = ctx.now_ms;
+  auto note = [&](const char* step, double sim_ms, double value) {
+    RecordHedgeEvent(ctx, site_key, call.domain, step, sim_ms, value,
+                     st.hedges_issued);
+  };
+  // Opens the hedge at t_open + trigger on the simulated clock. The route
+  // runs the replica's full pipeline under this query's context, so its
+  // traffic and latency are charged to this query.
+  auto hedge = [&](double trigger) {
+    ++st.hedges_issued;
+    ++ctx.metrics.hedges;
+    hedges_->Add(1);
+    note("issued", t_open + trigger, trigger);
+    ctx.now_ms = t_open + trigger;
+    Result<CallOutput> alt = failover_(ctx, call);
+    ctx.now_ms = t_open;
+    return alt;
+  };
+  auto won = [&](double sim_ms, double value) {
+    ++ctx.metrics.hedge_wins;
+    hedge_wins_->Add(1);
+    note("win", sim_ms, value);
+  };
+
+  Result<CallOutput> run = next(ctx, call);
+  if (!run.ok()) {
+    // Failure rescue: on the simulated clock the speculative request was
+    // already in flight at trigger time, so a failed attempt adopts the
+    // hedge's answer instead of surfacing the failure. This is the hedge
+    // win that cuts the *unavailability* tail (timeout penalties), not
+    // just the jitter tail. Rescues are deliberately not budget-gated:
+    // GiveUp's failover would send this call to the same replica anyway —
+    // after the full timeout penalty. The rescue is that call moved earlier.
+    // Nothing is recorded or masked: no SourceError exists for this call
+    // yet (only GiveUp records one), and the rescued call lost nothing.
+    const double trigger = HedgeTriggerMs(st, call);
+    if (trigger < 0.0) return run;
+    obs::SpanScope span(ctx.tracer, "hedge", "resilience", t_open + trigger);
+    Result<CallOutput> alt = hedge(trigger);
+    if (!alt.ok()) {
+      span.MarkFailed(alt.status().ToString());
+      hedge_cancelled_->Add(1);
+      note("cancelled", t_open + trigger, 0.0);
+      return run;
+    }
+    CallOutput out = std::move(alt).value();
+    out.first_ms += trigger;
+    out.all_ms += trigger;
+    span.set_sim_end(t_open + out.all_ms);
+    won(t_open + out.all_ms, out.all_ms);
+    ++st.calls_seen;
+    return out;
+  }
+  CallOutput out = std::move(run).value();
+  ++st.calls_seen;
+
+  // Hedge decision — after the primary's simulated latency is known, which
+  // on the simulated clock is equivalent to arming a timer at the trigger:
+  // the hedge runs iff the primary is still in flight at trigger time.
+  const double primary_ms = out.all_ms;
+  const double trigger = HedgeTriggerMs(st, call);
+  // Speculative hedges draw down the budget: the first is free, after that
+  // issued hedges (rescues included) must stay inside budget_percent of
+  // this query's calls to the site.
+  const bool budget_ok =
+      static_cast<double>(st.hedges_issued) * 100.0 <=
+      policy_.hedge.budget_percent * static_cast<double>(st.calls_seen);
+  if (trigger >= 0.0 && primary_ms > trigger && budget_ok) {
+    obs::SpanScope span(ctx.tracer, "hedge", "resilience", t_open + trigger);
+    Result<CallOutput> alt = hedge(trigger);
+    if (alt.ok() && trigger + alt->all_ms < primary_ms) {
+      // The hedge answered first: adopt it and cancel the primary (its
+      // remaining in-flight time is abandoned on the simulated clock).
+      const double first_ms = std::min(out.first_ms, trigger + alt->first_ms);
+      out = std::move(alt).value();
+      out.first_ms = first_ms;
+      out.all_ms += trigger;
+      span.set_sim_end(t_open + out.all_ms);
+      won(t_open + out.all_ms, primary_ms - out.all_ms);
+    } else {
+      // The primary won (or the hedge failed): the hedge is cancelled at
+      // the primary's completion time.
+      span.set_sim_end(t_open + primary_ms);
+      hedge_cancelled_->Add(1);
+      note("cancelled", t_open + primary_ms, primary_ms);
+    }
+  }
+
+  // Trailing-latency ring, observed from the primary's raw latency after
+  // this call's own trigger was computed — a call never hedges against
+  // itself.
+  if (st.latency_window.size() < kHedgeWindow) {
+    st.latency_window.push_back(primary_ms);
+  } else {
+    st.latency_window[st.latency_next % kHedgeWindow] = primary_ms;
+  }
+  ++st.latency_next;
+  return out;
 }
 
 Result<CallOutput> ResilienceInterceptor::AttemptWithRetries(
-    CallContext& ctx, const DomainCall& call, const Next& next,
-    bool single_attempt, double* waited_ms) {
+    CallContext& ctx, const DomainCall& call, const Next& next, bool probe,
+    double* waited_ms) {
   const double t_call = ctx.now_ms;
-  const int attempts = single_attempt ? 1 : policy_.retry.max_retries + 1;
+  const int attempts = probe ? 1 : policy_.retry.max_retries + 1;
   double waited = 0.0;
   Status last_failure;
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -109,7 +270,7 @@ Result<CallOutput> ResilienceInterceptor::AttemptWithRetries(
     ctx.call_attempt = static_cast<uint64_t>(attempt);
     ctx.now_ms = t_call + waited;
     ctx.last_call_penalty_ms = 0.0;
-    Result<CallOutput> run = next(ctx, call);
+    Result<CallOutput> run = Attempt(ctx, call, next, probe);
     ctx.now_ms = t_call;
     ctx.call_attempt = 0;
 
@@ -254,12 +415,7 @@ Result<CallOutput> ResilienceInterceptor::Intercept(CallContext& ctx,
   }
 
   double waited = 0.0;
-  // Mark half-open probes for the overload layer below: probe traffic is
-  // exempt from the AIMD limiter so a recovering site always sees its probe.
-  ctx.breaker_probe = probe;
-  Result<CallOutput> run =
-      AttemptWithRetries(ctx, call, next, /*single_attempt=*/probe, &waited);
-  ctx.breaker_probe = false;
+  Result<CallOutput> run = AttemptWithRetries(ctx, call, next, probe, &waited);
   if (run.ok()) {
     if (breaker != nullptr) {
       if (breaker->state != BreakerState::kClosed) {

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/io.h"
-#include "domain/overload.h"
 #include "engine/op/domain_call_op.h"
 
 namespace hermes {
@@ -232,7 +231,7 @@ void DiagnosticsCenter::AppendSlowRecordLocked(const std::string& record) {
   }
   if (options_.bundle_dir.empty()) return;
   // The rolling structured log sits beside the bundles, rotated by size so
-  // a sustained anomaly storm (e.g. a brownout) cannot grow it unbounded.
+  // a sustained anomaly storm cannot grow it unbounded.
   std::error_code ec;
   std::filesystem::create_directories(options_.bundle_dir, ec);
   if (ec) return;
@@ -248,33 +247,6 @@ void DiagnosticsCenter::AppendSlowRecordLocked(const std::string& record) {
   }
   std::ofstream log(path, std::ios::app);
   if (log) log << record;
-}
-
-void DiagnosticsCenter::CaptureBrownoutTransition(int from_level, int to_level,
-                                                  double shed_rate) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DebugBundle bundle;
-  bundle.reason = "brownout-transition";
-  bundle.query_text =
-      std::string("brownout ") +
-      overload::BrownoutController::LevelName(from_level) + " -> " +
-      overload::BrownoutController::LevelName(to_level) +
-      " shed_rate=" + Num(shed_rate);
-  bundle.completeness = overload::BrownoutController::LevelName(to_level);
-  // No single query owns a ladder transition: snapshot the recorder's
-  // resident events across queries plus the metrics at this instant.
-  if (recorder_ != nullptr) bundle.events = recorder_->SnapshotAll();
-  if (registry_ != nullptr) bundle.prometheus = registry_->ExposePrometheus();
-
-  AppendSlowRecordLocked(bundle.SlowQueryRecord());
-  const size_t index = captures_;
-  ++captures_;
-  if (captures_total_ != nullptr) captures_total_->Add(1);
-  if (!options_.bundle_dir.empty() && index < options_.max_bundles) {
-    (void)Persist(bundle, index);
-  }
-  bundles_.push_back(std::move(bundle));
-  while (bundles_.size() > options_.max_bundles) bundles_.pop_front();
 }
 
 std::string DiagnosticsCenter::MaybeCapture(

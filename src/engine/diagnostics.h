@@ -131,13 +131,6 @@ class DiagnosticsCenter {
   /// capture reason, or an empty string when the query was unremarkable.
   std::string MaybeCapture(const DiagnosticsCaptureInput& input);
 
-  /// Captures a bundle on a brownout-ladder transition (`from_level` →
-  /// `to_level` at observed shed rate `shed_rate`): the flight recorder's
-  /// resident events plus a metrics snapshot, preserving the system state
-  /// around the level change. Called by the mediator's transition hook.
-  void CaptureBrownoutTransition(int from_level, int to_level,
-                                 double shed_rate);
-
   /// Writes an on-demand snapshot (all resident recorder events, the
   /// Prometheus exposition, the drift report, the slow-query log) to
   /// `dir`, creating it if needed.

@@ -13,15 +13,6 @@
 
 namespace hermes {
 
-const char* QueryPriorityName(QueryPriority p) {
-  switch (p) {
-    case QueryPriority::kHigh: return "high";
-    case QueryPriority::kNormal: return "normal";
-    case QueryPriority::kLow: return "low";
-  }
-  return "unknown";
-}
-
 const char* QueryCompletenessName(QueryCompleteness c) {
   switch (c) {
     case QueryCompleteness::kComplete: return "complete";
@@ -112,74 +103,26 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
   auto shield = std::make_shared<resilience::ResilienceInterceptor>(
       link->site().name, network_->seed(), link, default_resilience_policy_);
   shield->BindMetrics(*metrics_, name);
-  // The overload layer sits between resilience and the link: breaker
-  // probes from above are exempt from its limiter, and its hedges re-enter
-  // the registry like failovers do. Default policy is pass-through.
-  auto governor =
-      std::make_shared<overload::OverloadInterceptor>(link->site().name);
-  governor->BindMetrics(*metrics_, name);
-  governor->set_policy(default_overload_policy_);
-  governor->set_brownout(brownout_);
+  // The hedge trigger's cold-ring baseline: the DCSM's Ta estimate for the
+  // call shape (0 = unknown while only the default estimate exists).
   dcsm::Dcsm* dcsm = &dcsm_;
-  governor->set_baseline([dcsm](const DomainCall& call) {
+  shield->set_baseline([dcsm](const DomainCall& call) {
     Result<dcsm::CostEstimate> est = dcsm->Cost(call.ToSpec());
     if (!est.ok() || est->source == "default") return 0.0;
     return est->cost.t_all_ms;
   });
   std::string pipeline_name = inner->name() + "@" + link->site().name;
   HERMES_RETURN_IF_ERROR(registry_.Register(
-      name,
-      std::make_shared<PipelineDomain>(
-          std::move(pipeline_name),
-          std::vector<std::shared_ptr<CallInterceptor>>{shield, governor,
-                                                        link},
-          std::move(inner))));
+      name, std::make_shared<PipelineDomain>(
+                std::move(pipeline_name),
+                std::vector<std::shared_ptr<CallInterceptor>>{shield, link},
+                std::move(inner))));
   // Keep the drift tracker's (domain → site) labels current when domains
   // are registered after EnableDiagnostics.
   if (drift_ != nullptr) drift_->SetSite(name, link->site().name);
   links_[name] = std::move(link);
   resilience_layers_[name] = std::move(shield);
-  overload_layers_[name] = std::move(governor);
   return Status::OK();
-}
-
-Status Mediator::EnableOverloadControl(
-    const overload::OverloadPolicy& policy,
-    const overload::BrownoutController::Options& brownout) {
-  std::unique_lock lock(wiring_mu_);
-  HERMES_RETURN_IF_ERROR(CheckNotServing("EnableOverloadControl"));
-  default_overload_policy_ = policy;
-  brownout_ = std::make_shared<overload::BrownoutController>(brownout);
-  brownout_->BindMetrics(*metrics_);
-  brownout_->set_transition_hook([this](int from, int to, double shed_rate) {
-    // Queries hold wiring_mu_ shared for their whole run, so recorder_ and
-    // diag_ cannot be rewired out from under a firing hook.
-    if (recorder_ != nullptr) {
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kBrownout, /*query_id=*/0, /*seq=*/0,
-          /*sim_ms=*/0.0);
-      ev.set_detail(
-          std::string(overload::BrownoutController::LevelName(from)) + "->" +
-          overload::BrownoutController::LevelName(to));
-      ev.value = shed_rate;
-      ev.aux = static_cast<uint64_t>(to);
-      recorder_->Emit(ev);
-    }
-    if (diag_ != nullptr) {
-      diag_->CaptureBrownoutTransition(from, to, shed_rate);
-    }
-  });
-  for (auto& [name, governor] : overload_layers_) {
-    governor->set_policy(policy);
-    governor->set_brownout(brownout_);
-  }
-  return Status::OK();
-}
-
-overload::OverloadInterceptor* Mediator::overload_layer(
-    const std::string& name) {
-  auto it = overload_layers_.find(name);
-  return it == overload_layers_.end() ? nullptr : it->second.get();
 }
 
 Status Mediator::EnableDiagnostics(const DiagnosticsOptions& options) {
@@ -337,18 +280,6 @@ Status Mediator::AddFailover(const std::string& name,
         rerouted.domain = alternate;
         return registry->Run(ctx, rerouted);
       });
-  // The same replica doubles as the hedge route: calls with a registered
-  // failover replica are the ones eligible for speculative hedging (same
-  // no-cycles caveat as failover).
-  auto governor = overload_layers_.find(name);
-  if (governor != overload_layers_.end()) {
-    governor->second->set_hedge_route(
-        [registry, alternate](CallContext& ctx, const DomainCall& call) {
-          DomainCall rerouted = call;
-          rerouted.domain = alternate;
-          return registry->Run(ctx, rerouted);
-        });
-  }
   return Status::OK();
 }
 
@@ -595,20 +526,9 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   // path and registers its skeleton. The lease (and with it the instance's
   // operator tree) stays checked out until the query — including EXPLAIN
   // and diagnostics capture — is done with the tree.
-  // Brownout ladder: snapshot the level once per query. At kDegrade and
-  // above low-priority queries lose their scatter-gather fanout (their
-  // branches re-serialize, shedding concurrent source load) and every
-  // query prefers stale-cache serves; hedging is off from kNoHedge up.
-  const int brownout_level = brownout_ != nullptr ? brownout_->level() : 0;
-  result.brownout_level = brownout_level;
-  const bool brownout_force_sync =
-      brownout_level >= overload::BrownoutController::kDegrade &&
-      options.priority == QueryPriority::kLow;
-
   engine::op::CompileOptions compile_options;
   compile_options.async_scatter_gather =
-      (options.async_scatter_gather || async_execution_) &&
-      !brownout_force_sync;
+      options.async_scatter_gather || async_execution_;
   compile_options.record_spine = replan_options_.enabled;
   const bool cacheable =
       plan_cache_ != nullptr &&
@@ -684,10 +604,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   engine::Executor executor(&registry_, &dcsm_, exec_options);
   CallContext ctx;
   if (options.deadline_ms > 0.0) ctx.deadline_ms = options.deadline_ms;
-  ctx.prefer_stale =
-      brownout_level >= overload::BrownoutController::kDegrade;
-  ctx.hedging_disabled =
-      brownout_level >= overload::BrownoutController::kNoHedge;
   ctx.query_id = options.query_id != 0 ? options.query_id : ReserveQueryId();
   result.query_id = ctx.query_id;
   ctx.tracer = tracer;
@@ -778,19 +694,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     result.explain_text = compiled->Explain(/*actuals=*/true);
     for (const engine::op::ReplanEvent& ev : result.replan_events) {
       result.explain_text += ev.ToString();
-    }
-    if (brownout_level > 0) {
-      // Only non-normal levels annotate, so goldens captured with the
-      // ladder cold (or the subsystem off) stay byte-identical.
-      result.explain_text +=
-          "brownout: level=" + std::to_string(brownout_level) + " (" +
-          overload::BrownoutController::LevelName(brownout_level) +
-          ") hedging=off";
-      if (brownout_level >= overload::BrownoutController::kDegrade) {
-        result.explain_text += " prefer_stale=on";
-      }
-      if (brownout_force_sync) result.explain_text += " fanout=sequential";
-      result.explain_text += "\n";
     }
   }
   result.metrics = ctx.metrics;

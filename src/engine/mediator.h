@@ -11,7 +11,6 @@
 #include "cim/cim.h"
 #include "common/result.h"
 #include "dcsm/dcsm.h"
-#include "domain/overload.h"
 #include "domain/pipeline.h"
 #include "domain/registry.h"
 #include "domain/resilience/resilience.h"
@@ -31,45 +30,12 @@ namespace hermes {
 
 class QueryPool;
 
-/// Priority class of a query; the pool drains high before normal before
-/// low, and the overload machinery sheds low first (brownout level 3).
-enum class QueryPriority : uint8_t {
-  kHigh = 0,
-  kNormal = 1,
-  kLow = 2,
-};
-
-/// Stable lowercase name ("high", "normal", "low").
-const char* QueryPriorityName(QueryPriority p);
-
-/// Admission control of the QueryPool frontend (see DESIGN.md "Overload
-/// control & brownout"). Off by default: the historical blocking queue.
-struct AdmissionOptions {
-  bool enabled = false;
-  /// Shed a query at submission when its remaining deadline budget is
-  /// below the queue-wait watermark (the `watermark_quantile` of the
-  /// hermes_pool_queue_wait_ms histogram, once `watermark_min_samples`
-  /// waits were observed). Deadlines are simulated ms; the watermark is
-  /// host ms scaled by Mediator::service_pacing() — with pacing 0 the
-  /// check is skipped (simulated time never accrues queue wait).
-  bool deadline_aware = true;
-  double watermark_quantile = 0.90;
-  uint64_t watermark_min_samples = 32;
-  /// CoDel-style queue-delay shedding at dequeue: once the sojourn time of
-  /// dequeued queries stays above `codel_target_ms` for a full
-  /// `codel_interval_ms`, non-high-priority queries are shed (typed
-  /// kResourceExhausted) at an increasing rate until sojourn recovers.
-  double codel_target_ms = 50.0;
-  double codel_interval_ms = 100.0;
-};
-
 /// Sizing of the Mediator::Serve worker pool.
 struct QueryPoolOptions {
   size_t num_threads = 4;
   /// Bounded submission-queue capacity; 0 sizes it to 2 × num_threads.
   /// When full, Submit blocks and TrySubmit fails fast.
   size_t queue_capacity = 0;
-  AdmissionOptions admission;
 };
 
 /// Per-query options of Mediator::Query().
@@ -117,9 +83,6 @@ struct QueryOptions {
   /// default — the historical sequential tree; Mediator::set_async_execution
   /// turns it on for every query. EXPLAIN marks grouped calls `async`.
   bool async_scatter_gather = false;
-  /// Priority class: drives pool queue order and what the overload
-  /// machinery sheds first under brownout.
-  QueryPriority priority = QueryPriority::kNormal;
 };
 
 /// How much of the full answer set a QueryResult represents.
@@ -175,11 +138,6 @@ struct QueryResult {
   /// time to evaluation completion.
   double tf_sim_ms = 0.0;
   double ta_sim_ms = 0.0;
-  /// Brownout-ladder level the query executed under (0 = normal; see
-  /// overload::BrownoutController). Non-zero means the mediator degraded
-  /// this query's service: hedging off, and at level >= 2 stale-cache
-  /// serves preferred plus (low priority) scatter-gather forced sequential.
-  int brownout_level = 0;
 };
 
 /// Top-level facade of the mediator system — the public API a downstream
@@ -273,28 +231,10 @@ class Mediator {
 
   /// Failover rung of the degradation ladder: calls that give up on `name`
   /// (retries exhausted, breaker open) are rerouted to `alternate`, which
-  /// must export every function `name` does. `alternate` must not fail
-  /// over back to `name` (the ladder does not detect cycles).
+  /// must export every function `name` does. The same replica is the hedge
+  /// route when the resilience policy arms HedgePolicy. `alternate` must
+  /// not fail over back to `name` (the ladder does not detect cycles).
   Status AddFailover(const std::string& name, const std::string& alternate);
-
-  // ---- Overload control -------------------------------------------------------
-
-  /// Arms the overload-control subsystem (see DESIGN.md "Overload control
-  /// & brownout"): applies `policy` to the overload layer of every
-  /// registered (and future) remote domain — per-site AIMD concurrency
-  /// limits fed by the DCSM baseline, plus hedged requests where a
-  /// failover replica is wired — and installs the brownout ladder that
-  /// degrades service in steps under sustained shed pressure. Wiring time;
-  /// last call wins. The default-constructed policy disarms everything.
-  Status EnableOverloadControl(
-      const overload::OverloadPolicy& policy,
-      const overload::BrownoutController::Options& brownout = {});
-
-  /// The overload layer of the remote domain `name`, or nullptr when local.
-  overload::OverloadInterceptor* overload_layer(const std::string& name);
-
-  /// Null until EnableOverloadControl.
-  overload::BrownoutController* brownout() { return brownout_.get(); }
 
   /// Installs a deterministic fault-injection plan (outage windows,
   /// flakiness, latency spikes, slow responses — see net/faults/) on every
@@ -538,10 +478,6 @@ class Mediator {
   std::map<std::string, std::shared_ptr<net::NetworkInterceptor>> links_;
   std::map<std::string, std::shared_ptr<resilience::ResilienceInterceptor>>
       resilience_layers_;
-  std::map<std::string, std::shared_ptr<overload::OverloadInterceptor>>
-      overload_layers_;
-  overload::OverloadPolicy default_overload_policy_;
-  std::shared_ptr<overload::BrownoutController> brownout_;
   optimizer::RuleRewriter::Options rewriter_options_;
   optimizer::EstimatorParams estimator_params_;
   engine::ExecutorOptions executor_options_;

@@ -117,12 +117,8 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
   }
   if (!run.ok()) {
     const Status& failure = run.status();
-    // A load-shed call (ResourceExhausted) is a lost source like an outage:
-    // under partial_results the goal contributes zero rows instead of
-    // failing the query — shedding is only graceful if it degrades.
-    const bool lost_source = failure.IsUnavailable() ||
-                             failure.IsDeadlineExceeded() ||
-                             failure.IsResourceExhausted();
+    const bool lost_source =
+        failure.IsUnavailable() || failure.IsDeadlineExceeded();
     if (!lost_source || cx.params == nullptr ||
         !cx.params->tolerate_source_failures) {
       return failure;

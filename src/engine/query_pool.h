@@ -24,30 +24,21 @@ struct QueryPoolStats {
   uint64_t submitted = 0;  ///< Queries accepted into the queue.
   uint64_t completed = 0;  ///< Queries whose future was fulfilled.
   uint64_t rejected = 0;   ///< Submissions refused (queue full/shutdown).
-  // Admission-control sheds (typed kResourceExhausted; see AdmissionOptions).
-  uint64_t shed_deadline = 0;  ///< Deadline below the queue-wait watermark.
-  uint64_t shed_codel = 0;     ///< CoDel queue-delay shedding at dequeue.
-  uint64_t shed_brownout = 0;  ///< Low-priority shed at brownout level 3.
 };
 
 /// The mediator's concurrent frontend: a fixed pool of worker threads
-/// draining a bounded, priority-ordered submission queue of queries,
-/// results delivered through futures — how N clients share one mediator.
+/// draining one bounded FIFO submission queue of queries, results
+/// delivered through futures — how N clients share one mediator.
 ///
 /// Created via Mediator::Serve(). While any pool is live the mediator's
 /// wiring is frozen (wiring calls return FailedPrecondition), so workers
 /// race only on structures designed for it: the lock-striped result cache,
 /// the batch-flushed DCSM and the atomic network statistics.
 ///
-/// Queries are drained strictly by QueryOptions::priority (high before
-/// normal before low; FIFO within a class). With AdmissionOptions::enabled
-/// the pool additionally sheds load instead of queueing it (typed
-/// kResourceExhausted): deadline-aware admission compares a query's
-/// remaining deadline against the observed queue-wait watermark, a
-/// CoDel-style controller sheds at dequeue once queue sojourn stays above
-/// target (never shedding kHigh), and at brownout level 3 low-priority
-/// queries are refused at the door. Shed/admit outcomes feed the
-/// mediator's BrownoutController, closing the overload-control loop.
+/// The bounded queue is the pool's whole overload policy: a full queue
+/// blocks Submit and makes TrySubmit fail fast with a typed
+/// kResourceExhausted (see DESIGN.md §10 "Hedged requests" for the A/B
+/// that retired the shedding machinery built on top of it).
 ///
 /// Query ids are reserved at Submit time, in submission order — a query's
 /// id (and therefore its per-query RNG stream, when enabled) is fixed
@@ -67,15 +58,14 @@ class QueryPool {
   QueryPool& operator=(const QueryPool&) = delete;
 
   /// Enqueues a query; blocks while the queue is full. The future carries
-  /// the query's Result exactly as Mediator::Query would have returned it —
-  /// or a typed kResourceExhausted when admission control shed it.
+  /// the query's Result exactly as Mediator::Query would have returned it.
   std::future<Result<QueryResult>> Submit(std::string query_text,
                                           QueryOptions options = {});
 
   /// Non-blocking Submit. OK means the query was enqueued and `*out` holds
   /// its future; otherwise `*out` is untouched and the status says why —
-  /// kResourceExhausted with queue-depth context when the queue is full or
-  /// admission control shed the query, kFailedPrecondition after Shutdown.
+  /// kResourceExhausted with the queue depth and capacity when the queue is
+  /// full, kFailedPrecondition after Shutdown.
   Status TrySubmit(std::string query_text, QueryOptions options,
                    std::future<Result<QueryResult>>* out);
 
@@ -93,45 +83,23 @@ class QueryPool {
     QueryOptions options;
     std::promise<Result<QueryResult>> promise;
     /// Wall-clock enqueue instant; the dequeueing worker observes the
-    /// difference as queue wait (and CoDel as queue sojourn).
+    /// difference as queue wait.
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
   void WorkerLoop();
-  /// Admission checks + enqueue; requires mu_ held. On shed, fulfils the
-  /// task's promise with the returned status.
-  Status Enqueue(Task task, std::future<Result<QueryResult>>* out);
-  /// Total queued tasks across the priority classes; requires mu_ held.
-  size_t QueueDepthLocked() const;
-  /// Formats "depth D/C (high=h normal=n low=l)"; requires mu_ held.
-  std::string QueueContextLocked() const;
-  /// CoDel drop decision for a dequeued task's sojourn; requires mu_ held.
-  bool CodelShouldDropLocked(double sojourn_ms,
-                             std::chrono::steady_clock::time_point now);
-  /// Reports an admit/shed outcome to the mediator's BrownoutController
-  /// (no-op when admission is off or no controller is installed).
-  void RecordBrownoutOutcome(bool shed);
+  /// Enqueues `task` and returns its future; requires mu_ held and room in
+  /// the queue.
+  std::future<Result<QueryResult>> EnqueueLocked(Task task);
 
   Mediator* mediator_;
   size_t queue_capacity_;
-  AdmissionOptions admission_;
 
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;   ///< Signals workers: work/stop.
   std::condition_variable queue_space_;   ///< Signals submitters: capacity.
-  /// One FIFO per priority class, drained high → normal → low.
-  std::deque<Task> queues_[3];
+  std::deque<Task> queue_;
   bool stopping_ = false;
-
-  // CoDel controller state (guarded by mu_). `codel_first_above_` is the
-  // deadline by which sojourn must recover before dropping starts;
-  // `codel_drop_next_` paces drops at interval/sqrt(drop_count) while in
-  // the dropping state.
-  bool codel_above_ = false;
-  bool codel_dropping_ = false;
-  std::chrono::steady_clock::time_point codel_first_above_{};
-  std::chrono::steady_clock::time_point codel_drop_next_{};
-  uint64_t codel_drop_count_ = 0;
 
   // Live statistics (per-pool; registered with the mediator's registry at
   // construction). The histograms measure HOST wall-clock milliseconds —
@@ -139,16 +107,10 @@ class QueryPool {
   // the simulated-latency model.
   std::shared_ptr<obs::Counter> submitted_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> completed_ = std::make_shared<obs::Counter>();
-  // hermes_pool_rejected_total{reason=...}: full | shutdown | deadline |
-  // codel | brownout.
+  // hermes_pool_rejected_total{reason=full|shutdown}.
   std::shared_ptr<obs::Counter> rejected_full_ =
       std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> rejected_shutdown_ =
-      std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Counter> shed_deadline_ =
-      std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Counter> shed_codel_ = std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Counter> shed_brownout_ =
       std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Gauge> queue_depth_ = std::make_shared<obs::Gauge>();
   std::shared_ptr<obs::Histogram> queue_wait_ms_;

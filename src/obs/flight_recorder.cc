@@ -66,9 +66,7 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kPlanCacheMiss: return "plan_cache_miss";
     case FlightEventKind::kPlanCacheInvalidate: return "plan_cache_invalidate";
     case FlightEventKind::kReplan: return "replan";
-    case FlightEventKind::kLoadShed: return "load_shed";
     case FlightEventKind::kHedge: return "hedge";
-    case FlightEventKind::kBrownout: return "brownout";
   }
   return "unknown";
 }

@@ -33,9 +33,7 @@ enum class FlightEventKind : uint8_t {
   kPlanCacheMiss,
   kPlanCacheInvalidate,
   kReplan,
-  kLoadShed,
   kHedge,
-  kBrownout,
 };
 
 const char* FlightEventKindName(FlightEventKind kind);

@@ -44,8 +44,8 @@ struct TopologyInfo {
 /// overload experiments: echo-style source domains behind simulated links
 /// spanning the four tiers, plus failover replica pairs per the options.
 /// Unlike the paper's hand-built Section 8 scenario this one is synthetic —
-/// wide enough (default 32 sites) that per-site concurrency limits, hedging
-/// and admission control act on a realistic spread of latencies.
+/// wide enough (default 32 sites) that hedging, failover and the pool's
+/// bounded queue act on a realistic spread of latencies.
 Status SetupOverloadTopology(Mediator* med, const TopologyOptions& options,
                              TopologyInfo* info = nullptr);
 
@@ -53,8 +53,7 @@ Status SetupOverloadTopology(Mediator* med, const TopologyOptions& options,
 /// calls against domain k mod N with never-repeating arguments (every
 /// query is a cache miss; there is no shared state between queries).
 /// Independent same-domain conjuncts scatter-gather under async execution,
-/// which is what gives the per-site concurrency limiter and the hedge
-/// trigger (both scoped per query) something to act on.
+/// which is what gives the per-query hedge trigger something to act on.
 std::string TopologyQuery(const TopologyInfo& info, uint64_t k,
                           size_t fanout = 1);
 

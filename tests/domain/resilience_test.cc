@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "domain/pipeline.h"
 
@@ -273,6 +276,260 @@ TEST(ResilienceTest, EstimatePassesThroughForFullyAvailableSites) {
   EXPECT_DOUBLE_EQ(cost->t_first_ms, 10.0);
   EXPECT_DOUBLE_EQ(cost->t_all_ms, 20.0);
   EXPECT_DOUBLE_EQ(cost->cardinality, 5.0);
+}
+
+// ---- Hedged requests -------------------------------------------------------
+
+/// Fake inner layer for the hedge tests: answers each attempt with a
+/// scripted latency; a negative entry fails that attempt with Unavailable.
+/// Like NetworkInterceptor it leaves only failure breadcrumbs and the
+/// timeout penalty on the context — it records no SourceError (only the
+/// resilience layer's GiveUp does).
+struct ScriptedSite {
+  std::vector<double> latencies_ms;
+  size_t attempts = 0;
+
+  CallInterceptor::Next AsNext() {
+    return [this](CallContext& ctx, const DomainCall&) -> Result<CallOutput> {
+      double ms =
+          attempts < latencies_ms.size() ? latencies_ms[attempts] : 10.0;
+      ++attempts;
+      if (ms < 0.0) {
+        ctx.last_failure_site = "umd";
+        ctx.last_failure_cause = "outage";
+        ctx.last_call_penalty_ms = kTimeoutMs;
+        return Status::Unavailable("site 'umd' is down");
+      }
+      CallOutput out;
+      out.answers = {Value::Int(1)};
+      out.first_ms = ms / 2.0;
+      out.all_ms = ms;
+      return out;
+    };
+  }
+};
+
+/// A failover replica that always answers in `ms` and records when it was
+/// asked.
+struct Replica {
+  double ms = 5.0;
+  std::vector<double> asked_at_ms;
+
+  ResilienceInterceptor::FailoverFn AsRoute() {
+    return [this](CallContext& ctx, const DomainCall&) -> Result<CallOutput> {
+      asked_at_ms.push_back(ctx.now_ms);
+      CallOutput out;
+      out.answers = {Value::Int(2)};
+      out.first_ms = ms / 2.0;
+      out.all_ms = ms;
+      return out;
+    };
+  }
+};
+
+ResiliencePolicy HedgeOnly(double quantile = 0.5, size_t min_samples = 2,
+                           double budget_percent = 100.0) {
+  ResiliencePolicy policy;
+  policy.hedge.enabled = true;
+  policy.hedge.quantile = quantile;
+  policy.hedge.min_samples = min_samples;
+  policy.hedge.budget_percent = budget_percent;
+  policy.hedge.baseline_trigger_factor = 0.0;  // ring-armed only
+  return policy;
+}
+
+TEST(ResilienceTest, HedgingIsOffByDefault) {
+  ScriptedSite site{{10.0, 10.0, 100.0}};
+  Replica replica;
+  ResilienceInterceptor shield("umd", 1996, nullptr);
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  }
+  EXPECT_TRUE(replica.asked_at_ms.empty());
+  EXPECT_EQ(ctx.metrics.hedges, 0u);
+  EXPECT_TRUE(ctx.hedge_states.empty());  // no state is even touched
+}
+
+TEST(ResilienceTest, HedgeWinAdoptsTheFasterReplicaAnswer) {
+  // Warm the ring with two 10ms calls (median trigger = 10ms), then a
+  // 100ms straggler: the hedge opens at t=10 on the simulated clock and
+  // its 5ms answer lands at 15ms — it wins.
+  ScriptedSite site{{10.0, 10.0, 100.0}};
+  Replica replica;
+  ResilienceInterceptor shield("umd", 1996, nullptr, HedgeOnly());
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_DOUBLE_EQ(run->all_ms, 15.0);  // trigger 10 + replica 5
+  EXPECT_EQ(run->answers[0], Value::Int(2));
+  EXPECT_EQ(ctx.metrics.hedges, 1u);
+  EXPECT_EQ(ctx.metrics.hedge_wins, 1u);
+  EXPECT_EQ(ctx.metrics.failovers, 0u);  // a hedge is not a failover
+  ASSERT_EQ(replica.asked_at_ms.size(), 1u);
+  EXPECT_DOUBLE_EQ(replica.asked_at_ms[0], 10.0);  // opened at the trigger
+  EXPECT_DOUBLE_EQ(ctx.now_ms, 0.0);  // the clock was restored
+}
+
+TEST(ResilienceTest, SlowReplicaLosesAndThePrimaryAnswerStands) {
+  ScriptedSite site{{10.0, 10.0, 100.0}};
+  Replica replica;
+  replica.ms = 500.0;  // slower than the primary even from the trigger
+  ResilienceInterceptor shield("umd", 1996, nullptr, HedgeOnly());
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_DOUBLE_EQ(run->all_ms, 100.0);  // the primary stood
+  EXPECT_EQ(run->answers[0], Value::Int(1));
+  EXPECT_EQ(ctx.metrics.hedges, 1u);
+  EXPECT_EQ(ctx.metrics.hedge_wins, 0u);
+}
+
+TEST(ResilienceTest, HedgeBudgetCapsSpeculativeHedges) {
+  // 10% budget: the first hedge is free, the second needs >= 10 answered
+  // calls to the site. Every call past the warmup is a 100ms straggler.
+  ScriptedSite site{{10.0, 10.0, 100.0, 100.0, 100.0}};
+  Replica replica;
+  ResilienceInterceptor shield("umd", 1996, nullptr,
+                               HedgeOnly(0.5, 2, /*budget_percent=*/10.0));
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  }
+  EXPECT_EQ(ctx.metrics.hedges, 1u);  // the free one; budget blocked the rest
+  EXPECT_EQ(replica.asked_at_ms.size(), 1u);
+}
+
+TEST(ResilienceTest, ColdRingFallsBackToBaselineTrigger) {
+  // No warmup at all: the ring is cold, but a DCSM baseline of 10ms with
+  // factor 2 arms the hedge at t=20 for the very first call.
+  ScriptedSite site{{100.0}};
+  Replica replica;
+  ResiliencePolicy policy = HedgeOnly(0.5, /*min_samples=*/4);
+  policy.hedge.baseline_trigger_factor = 2.0;
+  ResilienceInterceptor shield("umd", 1996, nullptr, policy);
+  shield.set_failover(replica.AsRoute());
+  shield.set_baseline([](const DomainCall&) { return 10.0; });
+  CallContext ctx;
+  Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_DOUBLE_EQ(run->all_ms, 25.0);  // trigger 20 + replica 5
+  EXPECT_EQ(ctx.metrics.hedge_wins, 1u);
+
+  // Without a baseline the cold ring leaves the hedge unarmed.
+  ScriptedSite cold{{100.0}};
+  ResilienceInterceptor unarmed("umd", 1996, nullptr, policy);
+  unarmed.set_failover(replica.AsRoute());
+  CallContext ctx2;
+  Result<CallOutput> slow = unarmed.Intercept(ctx2, TheCall(), cold.AsNext());
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  EXPECT_DOUBLE_EQ(slow->all_ms, 100.0);
+  EXPECT_EQ(ctx2.metrics.hedges, 0u);
+}
+
+TEST(ResilienceTest, FailedAttemptIsRescuedByTheHedgeAndMasksNothing) {
+  // Warmup, then the primary fails outright: the hedge that was already in
+  // flight at the trigger adopts the call. The rescued call lost nothing,
+  // so it records no SourceError — and must not mask one an earlier call
+  // to another site recorded for the same function.
+  ScriptedSite site{{10.0, 10.0, -1.0}};
+  Replica replica;
+  ResilienceInterceptor shield("umd", 1996, nullptr, HedgeOnly());
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  SourceError earlier;
+  earlier.site = "elsewhere";
+  earlier.domain = "mirror";
+  earlier.function = TheCall().function;
+  earlier.cause = "outage";
+  ctx.source_errors.push_back(earlier);
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_DOUBLE_EQ(run->all_ms, 15.0);  // trigger 10 + replica 5
+  EXPECT_EQ(ctx.metrics.hedges, 1u);
+  EXPECT_EQ(ctx.metrics.hedge_wins, 1u);
+  EXPECT_EQ(ctx.metrics.failovers, 0u);  // rescued before any give-up
+  ASSERT_EQ(ctx.source_errors.size(), 1u);  // nothing new recorded
+  EXPECT_FALSE(ctx.source_errors[0].masked);  // and nothing masked
+}
+
+TEST(ResilienceTest, HalfOpenProbeIsNeverHedged) {
+  // A warmed ring would hedge a 100ms straggler — but not a half-open
+  // probe: the probe must reach the struggling site itself, or the breaker
+  // would close on a replica's answer. Probes also leave the ring alone.
+  ScriptedSite site{{10.0, 10.0, 100.0}};
+  Replica replica;
+  ResiliencePolicy policy = HedgeOnly();
+  policy.breaker.enabled = true;
+  policy.breaker.probe_interval = 1;  // the next call while open probes
+  ResilienceInterceptor shield("umd", 1996, nullptr, policy);
+  shield.set_failover(replica.AsRoute());
+  CallContext ctx;
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  ASSERT_TRUE(shield.Intercept(ctx, TheCall(), site.AsNext()).ok());
+  ctx.breaker_states["umd"].state = CallContext::BreakerState::kOpen;
+  Result<CallOutput> probe = shield.Intercept(ctx, TheCall(), site.AsNext());
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  EXPECT_DOUBLE_EQ(probe->all_ms, 100.0);  // the primary's own answer
+  EXPECT_TRUE(replica.asked_at_ms.empty());
+  EXPECT_EQ(ctx.metrics.hedges, 0u);
+  EXPECT_EQ(ctx.breaker_states["umd"].state,
+            CallContext::BreakerState::kClosed);
+  EXPECT_EQ(ctx.hedge_states["umd"].calls_seen, 2u);
+  EXPECT_EQ(ctx.hedge_states["umd"].latency_window.size(), 2u);
+}
+
+TEST(ResilienceTest, HedgeDecisionsReplayPerQuery) {
+  // Every hedge decision reads only the query's own CallContext: replaying
+  // the call sequence is bit-identical, and another query interleaving its
+  // calls through the same shared interceptor changes nothing.
+  ResiliencePolicy policy = NoJitterRetries(1);
+  policy.hedge = HedgeOnly(0.5, 2, 50.0).hedge;
+  policy.hedge.baseline_trigger_factor = 2.0;
+  const std::vector<double> script = {10.0, 12.0, -1.0, 100.0,
+                                      11.0, -1.0, 100.0, 9.0};
+  auto run_once = [&](bool interleave) {
+    ScriptedSite site{script};
+    ScriptedSite other{{300.0, -1.0, 300.0, 300.0, -1.0, 300.0, 300.0, 1.0,
+                        300.0, 300.0}};
+    Replica replica;
+    ResilienceInterceptor shield("umd", 1996, nullptr, policy);
+    shield.set_failover(replica.AsRoute());
+    shield.set_baseline([](const DomainCall&) { return 8.0; });
+    CallContext ctx;
+    ctx.query_id = 7;
+    CallContext neighbor;
+    neighbor.query_id = 8;
+    std::string trace;
+    while (site.attempts < script.size()) {
+      ctx.now_ms = 5.0 * static_cast<double>(site.attempts);
+      Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g;",
+                    run.ok() ? run->all_ms : -1.0);
+      trace += buf;
+      if (interleave) {
+        (void)shield.Intercept(neighbor, TheCall(), other.AsNext());
+      }
+    }
+    trace += std::to_string(ctx.metrics.hedges) + "/" +
+             std::to_string(ctx.metrics.hedge_wins) + "/" +
+             std::to_string(ctx.metrics.retries);
+    return trace;
+  };
+  const std::string first = run_once(false);
+  EXPECT_EQ(first, run_once(false));
+  EXPECT_EQ(first, run_once(true));
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// QueryPool admission control: priority draining, typed full-queue
-// rejection with queue-depth context, deadline-aware shedding against the
-// observed queue-wait watermark, CoDel queue-delay shedding at dequeue, and
-// the brownout ladder refusing low-priority work at level 3.
+// QueryPool admission: the pool is one bounded FIFO, and a submission
+// that finds it full is refused with a typed kResourceExhausted carrying
+// the queue's depth and capacity.
 //
-// The pool's admission decisions run on the host wall clock (queue waits
-// are real implementation costs), so these tests create genuine backlog —
-// service pacing stretches each query's simulated latency into real worker
-// occupancy — and assert on typed outcomes, never on exact timings.
+// Service pacing stretches each query's simulated latency into real worker
+// occupancy, so the test creates genuine backlog and asserts on typed
+// outcomes, never on exact timings.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "domain/overload.h"
 #include "engine/mediator.h"
 #include "engine/query_pool.h"
 #include "testbed/scenario.h"
@@ -28,11 +25,9 @@ std::string FramesQuery(int first, int last) {
          ", " + std::to_string(last) + ")).";
 }
 
-QueryOptions WithPriority(QueryPriority p, double deadline_ms = 0.0) {
+QueryOptions RawQuery() {
   QueryOptions q;
   q.use_optimizer = false;
-  q.priority = p;
-  q.deadline_ms = deadline_ms;
   return q;
 }
 
@@ -41,38 +36,6 @@ std::unique_ptr<Mediator> PacedMediator(double pacing) {
   EXPECT_TRUE(testbed::SetupRopeScenario(med.get(), {}).ok());
   med->set_service_pacing(pacing);
   return med;
-}
-
-TEST(AdmissionTest, HighPriorityDrainsBeforeEarlierLowPriority) {
-  std::unique_ptr<Mediator> med = PacedMediator(0.05);
-  QueryPoolOptions pool_options;
-  pool_options.num_threads = 1;
-  pool_options.queue_capacity = 8;
-  std::unique_ptr<QueryPool> pool = med->Serve(pool_options);
-
-  // Occupy the single worker, then enqueue the same query twice — LOW
-  // first, HIGH second. The worker must drain HIGH first; with the rope
-  // scenario's caching on, the first executor of the shared call misses
-  // the cache and the second hits, which makes execution order observable
-  // in the per-query metrics.
-  std::future<Result<QueryResult>> blocker =
-      pool->Submit(FramesQuery(300, 900), WithPriority(QueryPriority::kNormal));
-  std::future<Result<QueryResult>> low =
-      pool->Submit(FramesQuery(4, 47), WithPriority(QueryPriority::kLow));
-  std::future<Result<QueryResult>> high =
-      pool->Submit(FramesQuery(4, 47), WithPriority(QueryPriority::kHigh));
-
-  Result<QueryResult> high_res = high.get();
-  Result<QueryResult> low_res = low.get();
-  ASSERT_TRUE(blocker.get().ok());
-  ASSERT_TRUE(high_res.ok()) << high_res.status();
-  ASSERT_TRUE(low_res.ok()) << low_res.status();
-  EXPECT_EQ(high_res->execution.answers.size(),
-            low_res->execution.answers.size());
-  // HIGH ran first: it did the real work, LOW was served from cache.
-  EXPECT_EQ(high_res->metrics.cache_hits, 0u);
-  EXPECT_GT(high_res->metrics.domain_calls, 0u);
-  EXPECT_GT(low_res->metrics.cache_hits, 0u);
 }
 
 TEST(AdmissionTest, FullQueueRejectionIsTypedWithQueueContext) {
@@ -84,19 +47,20 @@ TEST(AdmissionTest, FullQueueRejectionIsTypedWithQueueContext) {
 
   // Occupy the worker, fill the 1-slot queue, then overflow it.
   std::future<Result<QueryResult>> blocker =
-      pool->Submit(FramesQuery(300, 900), WithPriority(QueryPriority::kNormal));
+      pool->Submit(FramesQuery(300, 900), RawQuery());
   std::vector<std::future<Result<QueryResult>>> accepted;
   Status refused = Status::OK();
   for (int i = 0; i < 3 && refused.ok(); ++i) {
     std::future<Result<QueryResult>> out;
     refused = pool->TrySubmit(FramesQuery(4, 20 + i),
-                              WithPriority(QueryPriority::kNormal), &out);
+                              RawQuery(), &out);
     if (refused.ok()) accepted.push_back(std::move(out));
   }
   ASSERT_FALSE(refused.ok()) << "queue never filled";
   EXPECT_TRUE(refused.IsResourceExhausted()) << refused;
-  // The status carries the queue's state at rejection time.
-  EXPECT_NE(refused.ToString().find("depth 1/1"), std::string::npos)
+  // The status carries the queue's depth and capacity at rejection time.
+  EXPECT_NE(refused.ToString().find("submission queue full: depth 1/1"),
+            std::string::npos)
       << refused;
   EXPECT_GT(pool->stats().rejected, 0u);
   std::string prom = med->metrics().ExposePrometheus();
@@ -105,133 +69,6 @@ TEST(AdmissionTest, FullQueueRejectionIsTypedWithQueueContext) {
   EXPECT_NE(prom.find("hermes_pool_queue_depth"), std::string::npos);
   ASSERT_TRUE(blocker.get().ok());
   for (auto& f : accepted) EXPECT_TRUE(f.get().ok());
-}
-
-TEST(AdmissionTest, DeadlineBelowQueueWaitWatermarkIsShedAtSubmission) {
-  std::unique_ptr<Mediator> med = PacedMediator(0.02);
-  QueryPoolOptions pool_options;
-  pool_options.num_threads = 1;
-  pool_options.queue_capacity = 16;
-  pool_options.admission.enabled = true;
-  pool_options.admission.watermark_min_samples = 4;
-  pool_options.admission.codel_target_ms = 0.0;  // isolate the deadline path
-  std::unique_ptr<QueryPool> pool = med->Serve(pool_options);
-
-  // Build real backlog behind the single worker so the pool observes
-  // genuine queue waits (well above a millisecond each).
-  std::vector<std::future<Result<QueryResult>>> warm;
-  for (int i = 0; i < 5; ++i) {
-    warm.push_back(pool->Submit(FramesQuery(4, 40 + i),
-                                WithPriority(QueryPriority::kNormal)));
-  }
-  for (auto& f : warm) ASSERT_TRUE(f.get().ok());
-
-  // A microscopic deadline budget (0.1 simulated ms × pacing 0.02 = 2µs of
-  // wall budget) cannot survive the observed watermark: shed at the door.
-  std::future<Result<QueryResult>> out;
-  Status shed = pool->TrySubmit(
-      FramesQuery(4, 60), WithPriority(QueryPriority::kNormal, 0.1), &out);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.IsResourceExhausted()) << shed;
-  EXPECT_NE(shed.ToString().find("deadline budget"), std::string::npos)
-      << shed;
-  EXPECT_EQ(pool->stats().shed_deadline, 1u);
-
-  // A workable deadline passes the same check.
-  std::future<Result<QueryResult>> fine;
-  ASSERT_TRUE(pool->TrySubmit(FramesQuery(4, 61),
-                              WithPriority(QueryPriority::kNormal, 1e9), &fine)
-                  .ok());
-  EXPECT_TRUE(fine.get().ok());
-  std::string prom = med->metrics().ExposePrometheus();
-  EXPECT_NE(prom.find("reason=\"deadline\""), std::string::npos);
-}
-
-TEST(AdmissionTest, CodelShedsBackloggedQueriesButNeverHighPriority) {
-  std::unique_ptr<Mediator> med = PacedMediator(0.02);
-  QueryPoolOptions pool_options;
-  pool_options.num_threads = 1;
-  pool_options.queue_capacity = 32;
-  pool_options.admission.enabled = true;
-  pool_options.admission.deadline_aware = false;  // isolate the CoDel path
-  pool_options.admission.codel_target_ms = 1.0;
-  pool_options.admission.codel_interval_ms = 2.0;
-  std::unique_ptr<QueryPool> pool = med->Serve(pool_options);
-
-  // Pile queries behind the single paced worker: sojourns blow through the
-  // 1ms target within the first service time and CoDel starts dropping at
-  // dequeue — except for high-priority queries, which it never touches.
-  std::vector<std::future<Result<QueryResult>>> normals;
-  std::vector<std::future<Result<QueryResult>>> highs;
-  for (int i = 0; i < 10; ++i) {
-    normals.push_back(pool->Submit(FramesQuery(4, 80 + i),
-                                   WithPriority(QueryPriority::kNormal)));
-    if (i % 3 == 0) {
-      highs.push_back(pool->Submit(FramesQuery(4, 200 + i),
-                                   WithPriority(QueryPriority::kHigh)));
-    }
-  }
-  size_t answered = 0, codel_shed = 0;
-  for (auto& f : normals) {
-    Result<QueryResult> res = f.get();
-    if (res.ok()) {
-      ++answered;
-    } else {
-      ASSERT_TRUE(res.status().IsResourceExhausted()) << res.status();
-      EXPECT_NE(res.status().ToString().find("CoDel"), std::string::npos)
-          << res.status();
-      ++codel_shed;
-    }
-  }
-  for (auto& f : highs) {
-    Result<QueryResult> res = f.get();
-    EXPECT_TRUE(res.ok()) << res.status();  // kHigh is never CoDel-shed
-  }
-  EXPECT_GT(answered, 0u);   // the system kept doing work
-  EXPECT_GT(codel_shed, 0u);  // and shed the hopeless backlog
-  EXPECT_EQ(pool->stats().shed_codel, codel_shed);
-  std::string prom = med->metrics().ExposePrometheus();
-  EXPECT_NE(prom.find("reason=\"codel\""), std::string::npos);
-}
-
-TEST(AdmissionTest, BrownoutLevelThreeShedsLowPriorityAtTheDoor) {
-  std::unique_ptr<Mediator> med = PacedMediator(0.0);
-  // A hair-trigger ladder the test can drive to level 3 by hand.
-  overload::BrownoutController::Options ladder;
-  ladder.window_events = 8;
-  ladder.up_threshold = 0.5;
-  ladder.ewma_alpha = 1.0;
-  ladder.min_dwell_windows = 0;
-  ASSERT_TRUE(med->EnableOverloadControl({}, ladder).ok());
-
-  QueryPoolOptions pool_options;
-  pool_options.num_threads = 1;
-  pool_options.admission.enabled = true;
-  std::unique_ptr<QueryPool> pool = med->Serve(pool_options);
-
-  overload::BrownoutController* brownout = med->brownout();
-  ASSERT_NE(brownout, nullptr);
-  while (brownout->level() < overload::BrownoutController::kShedLow) {
-    brownout->RecordOutcome(true);
-  }
-
-  std::future<Result<QueryResult>> out;
-  Status shed = pool->TrySubmit(FramesQuery(4, 47),
-                                WithPriority(QueryPriority::kLow), &out);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.IsResourceExhausted()) << shed;
-  EXPECT_NE(shed.ToString().find("brownout"), std::string::npos) << shed;
-  EXPECT_EQ(pool->stats().shed_brownout, 1u);
-
-  // Normal and high priority still get through at level 3.
-  std::future<Result<QueryResult>> normal;
-  ASSERT_TRUE(pool->TrySubmit(FramesQuery(4, 47),
-                              WithPriority(QueryPriority::kNormal), &normal)
-                  .ok());
-  EXPECT_TRUE(normal.get().ok());
-  std::string prom = med->metrics().ExposePrometheus();
-  EXPECT_NE(prom.find("reason=\"brownout\""), std::string::npos);
-  EXPECT_NE(prom.find("hermes_overload_brownout_level"), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "engine/mediator.h"
 #include "net/faults/fault_plan.h"
 #include "testbed/scenario.h"
+#include "testbed/topology.h"
 
 namespace hermes {
 namespace {
@@ -300,6 +301,52 @@ TEST(DegradationTest, FailoverReroutesToTheAlternateSite) {
                         "hermes_resilience_failovers_total"
                         "{site=\"deadsite\",domain=\"prim\"} "),
             1.0);
+}
+
+TEST(DegradationTest, HedgeRescueNeverMasksAnotherSitesLoss) {
+  // s0 (fast tier, no replica) is down for good; s1 (mid tier, fast
+  // replica) flips a coin per attempt. A hedge rescue of an s1 call must
+  // leave s0's loss standing: the query is partial, not degraded, and s0's
+  // SourceError stays unmasked whatever the fault seed.
+  uint64_t hedge_wins = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Mediator med;
+    resilience::ResiliencePolicy policy;
+    policy.hedge.enabled = true;
+    policy.hedge.quantile = 0.5;
+    policy.hedge.min_samples = 1;
+    policy.hedge.budget_percent = 50.0;
+    med.set_default_resilience_policy(policy);
+    testbed::TopologyOptions topo;
+    topo.num_sites = 8;
+    ASSERT_TRUE(testbed::SetupOverloadTopology(&med, topo).ok());
+    med.set_per_query_network_rng(true);
+    med.set_async_execution(true);
+    ASSERT_TRUE(med.SetFaultPlan(MustParse("seed " + std::to_string(seed) +
+                                           "\noutage site=s0_site\n"
+                                           "flaky site=s1_site p=0.5\n"))
+                    .ok());
+    QueryOptions options = RawQuery();
+    options.partial_results = true;
+    Result<QueryResult> res = med.Query(
+        "?- in(A, s1:work(1)) & in(B, s0:work(2)) & in(C, s1:work(3)) & "
+        "in(D, s1:work(4)) & in(E, s1:work(5)).",
+        options);
+    ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.status();
+    EXPECT_TRUE(res->execution.answers.empty()) << "seed " << seed;
+    EXPECT_EQ(res->completeness, QueryCompleteness::kPartial)
+        << "seed " << seed;
+    size_t s0_losses = 0;
+    for (const SourceError& e : res->lost_sources) {
+      if (e.site != "s0_site") continue;
+      ++s0_losses;
+      EXPECT_FALSE(e.masked) << "seed " << seed << ": " << e.ToString();
+    }
+    EXPECT_EQ(s0_losses, 1u) << "seed " << seed;
+    hedge_wins += res->metrics.hedge_wins;
+  }
+  // Hedges do win here: s1's rescues are what used to mask s0's loss.
+  EXPECT_GT(hedge_wins, 0u);
 }
 
 }  // namespace

@@ -215,52 +215,6 @@ TEST(Diagnostics, SlowLogRotatesBySizeInsteadOfGrowingUnbounded) {
   EXPECT_LE(med->diagnostics()->bundles().size(), options.max_bundles);
 }
 
-TEST(Diagnostics, BrownoutTransitionsCaptureCrossQueryBundles) {
-  std::unique_ptr<Mediator> med = RopeMediator();
-  // A hair-trigger ladder the test can walk by hand.
-  overload::BrownoutController::Options ladder;
-  ladder.window_events = 4;
-  ladder.up_threshold = 0.5;
-  ladder.ewma_alpha = 1.0;
-  ladder.min_dwell_windows = 0;
-  ASSERT_TRUE(med->EnableOverloadControl({}, ladder).ok());
-  DiagnosticsOptions options;
-  options.bundle_dir = TempDir("diag_brownout");
-  ASSERT_TRUE(med->EnableDiagnostics(options).ok());
-
-  // A real query first, so the cross-query event snapshot has content.
-  ASSERT_TRUE(med->Query(testbed::AppendixQuery(1, false, 1, 9000), {}).ok());
-
-  overload::BrownoutController* brownout = med->brownout();
-  ASSERT_NE(brownout, nullptr);
-  while (brownout->level() < overload::BrownoutController::kNoHedge) {
-    brownout->RecordOutcome(true);
-  }
-  ASSERT_GE(brownout->transitions(), 1u);
-
-  DiagnosticsCenter* diag = med->diagnostics();
-  std::vector<DebugBundle> bundles = diag->bundles();
-  ASSERT_FALSE(bundles.empty());
-  const DebugBundle& bundle = bundles.back();
-  EXPECT_EQ(bundle.reason, "brownout-transition");
-  EXPECT_NE(bundle.query_text.find("normal -> no_hedge"), std::string::npos)
-      << bundle.query_text;
-  // No single query owns a ladder transition: the bundle snapshots the
-  // recorder's resident events and the metrics at the instant it fired.
-  EXPECT_FALSE(bundle.events.empty());
-  EXPECT_NE(bundle.prometheus.find("hermes_overload_brownout_level"),
-            std::string::npos);
-  // Persisted beside the slow log, which records the transition too.
-  ASSERT_FALSE(bundle.dir.empty());
-  EXPECT_TRUE(std::filesystem::exists(
-      std::filesystem::path(bundle.dir) / "manifest.json"));
-  Result<std::string> log = ReadFileToString(
-      (std::filesystem::path(options.bundle_dir) / "slow_queries.log")
-          .string());
-  ASSERT_TRUE(log.ok());
-  EXPECT_NE(log->find("reason=brownout-transition"), std::string::npos);
-}
-
 TEST(Diagnostics, DumpRequiresEnableDiagnostics) {
   std::unique_ptr<Mediator> med = RopeMediator();
   Status st = med->DumpDiagnostics(TempDir("diag_never"));

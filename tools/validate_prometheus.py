@@ -45,9 +45,6 @@ DEFAULT_REQUIRED = [
     "hermes_flight_events_total",
     "hermes_flight_events_dropped_total",
     "hermes_diag_captures_total",
-    "hermes_overload_admitted_total",
-    "hermes_overload_shed_total",
-    "hermes_overload_limit",
     "hermes_hedge_issued_total",
     "hermes_hedge_wins_total",
     "hermes_hedge_cancelled_total",
