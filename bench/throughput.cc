@@ -68,6 +68,26 @@ void BM_PlanQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanQuery)->Unit(benchmark::kMicrosecond);
 
+// Planning a fanout-4 query on the generated 32-site topology: four
+// independent goals, so the optimizer costs all 24 orderings of one body.
+void BM_PlanFanoutQuery(benchmark::State& state) {
+  static Mediator* med = new Mediator();
+  static testbed::TopologyInfo info = [] {
+    testbed::TopologyInfo built;
+    (void)testbed::SetupOverloadTopology(med, {}, &built);
+    // Fast-tier sites (k mod 4 == 0) warm the DCSM without failures.
+    for (uint64_t k : {0u, 4u, 32u, 64u}) {
+      (void)med->Query(testbed::TopologyQuery(built, k, 4), {});
+    }
+    return built;
+  }();
+  const std::string query = testbed::TopologyQuery(info, 96, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(med->Plan(query, QueryOptions{}));
+  }
+}
+BENCHMARK(BM_PlanFanoutQuery)->Unit(benchmark::kMicrosecond);
+
 void BM_ExecuteJoinQueryDirect(benchmark::State& state) {
   Mediator* med = SharedMediator();
   QueryOptions direct;

@@ -194,7 +194,7 @@ class Shell {
       std::printf("error: %s\n", plan.status().ToString().c_str());
       return;
     }
-    for (const optimizer::CandidatePlan& c : plan->candidates) {
+    for (const optimizer::CandidateSummary& c : plan->candidates) {
       if (!c.estimatable) continue;
       std::printf("  %-22s Ta=%9.0fms Tf=%8.0fms Card=%6.1f%s\n",
                   c.description.c_str(), c.estimated.t_all_ms,

@@ -48,13 +48,13 @@ int main() {
     std::printf("\n-- round %d: %zu candidate plans\n", round,
                 plan->candidates.size());
     // Show the cheapest few candidates.
-    std::vector<const optimizer::CandidatePlan*> ranked;
-    for (const optimizer::CandidatePlan& c : plan->candidates) {
+    std::vector<const optimizer::CandidateSummary*> ranked;
+    for (const optimizer::CandidateSummary& c : plan->candidates) {
       if (c.estimatable) ranked.push_back(&c);
     }
     std::sort(ranked.begin(), ranked.end(),
-              [](const optimizer::CandidatePlan* a,
-                 const optimizer::CandidatePlan* b) {
+              [](const optimizer::CandidateSummary* a,
+                 const optimizer::CandidateSummary* b) {
                 return a->estimated.t_all_ms < b->estimated.t_all_ms;
               });
     for (size_t i = 0; i < ranked.size() && i < 4; ++i) {

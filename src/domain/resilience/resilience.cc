@@ -144,15 +144,30 @@ Result<CallOutput> ResilienceInterceptor::Attempt(CallContext& ctx,
   };
   // Opens the hedge at t_open + trigger on the simulated clock. The route
   // runs the replica's full pipeline under this query's context, so its
-  // traffic and latency are charged to this query.
+  // traffic and latency are charged to this query. A failed hedge is
+  // cancelled, not lost: the replica's failure record (its SourceError,
+  // failure site and cause, timeout penalty) is rolled back, so the
+  // primary's retry loop and give-up see only the primary's own failure.
   auto hedge = [&](double trigger) {
     ++st.hedges_issued;
     ++ctx.metrics.hedges;
     hedges_->Add(1);
     note("issued", t_open + trigger, trigger);
+    const size_t errors = ctx.source_errors.size();
+    std::string failure_site = ctx.last_failure_site;
+    std::string failure_cause = ctx.last_failure_cause;
+    const double penalty_ms = ctx.last_call_penalty_ms;
     ctx.now_ms = t_open + trigger;
     Result<CallOutput> alt = failover_(ctx, call);
     ctx.now_ms = t_open;
+    if (!alt.ok()) {
+      ctx.source_errors.erase(
+          ctx.source_errors.begin() + static_cast<std::ptrdiff_t>(errors),
+          ctx.source_errors.end());
+      ctx.last_failure_site = std::move(failure_site);
+      ctx.last_failure_cause = std::move(failure_cause);
+      ctx.last_call_penalty_ms = penalty_ms;
+    }
     return alt;
   };
   auto won = [&](double sim_ms, double value) {

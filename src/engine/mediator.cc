@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <tuple>
 
 #include "cim/cache_interceptor.h"
 #include "common/io.h"
@@ -83,7 +84,9 @@ Status Mediator::RegisterDomain(const std::string& name,
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("RegisterDomain"));
   if (plan_cache_ != nullptr) plan_cache_->Clear();
-  return registry_.Register(name, std::move(domain));
+  HERMES_RETURN_IF_ERROR(registry_.Register(name, std::move(domain)));
+  IndexExports(name);
+  return Status::OK();
 }
 
 Status Mediator::RegisterRemoteDomain(const std::string& name,
@@ -122,6 +125,7 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
   if (drift_ != nullptr) drift_->SetSite(name, link->site().name);
   links_[name] = std::move(link);
   resilience_layers_[name] = std::move(shield);
+  IndexExports(name);
   return Status::OK();
 }
 
@@ -327,6 +331,9 @@ Status Mediator::EnableCaching(const std::string& name,
       cim_name, std::make_shared<PipelineDomain>(cim_name, std::move(stack),
                                                  std::move(terminal)));
   cims_[name] = std::move(cim_domain);
+  IndexExports(cim_name);
+  cached_domains_.clear();
+  for (const auto& [cached, cim_entry] : cims_) cached_domains_.push_back(cached);
   return Status::OK();
 }
 
@@ -395,30 +402,55 @@ net::NetworkInterceptor* Mediator::remote_link(const std::string& name) {
       pipeline->FindLayer("network"));
 }
 
-std::vector<std::string> Mediator::CachedDomains() const {
-  std::vector<std::string> out;
-  out.reserve(cims_.size());
-  for (const auto& [name, cim_domain] : cims_) out.push_back(name);
-  return out;
+namespace {
+
+/// Orders exported functions by (domain, function, arity).
+auto ExportKey(const std::string& domain, const std::string& function,
+               const size_t& arity) {
+  return std::tie(domain, function, arity);
+}
+
+}  // namespace
+
+void Mediator::IndexExports(const std::string& name) {
+  Result<std::shared_ptr<Domain>> domain = registry_.Get(name);
+  if (!domain.ok()) return;
+  std::erase_if(exported_functions_, [&name](const ExportedFunction& e) {
+    return e.domain == name;
+  });
+  for (const FunctionInfo& fn : (*domain)->Functions()) {
+    exported_functions_.push_back(ExportedFunction{name, fn.name, fn.arity});
+  }
+  std::sort(exported_functions_.begin(), exported_functions_.end(),
+            [](const ExportedFunction& a, const ExportedFunction& b) {
+              return ExportKey(a.domain, a.function, a.arity) <
+                     ExportKey(b.domain, b.function, b.arity);
+            });
 }
 
 optimizer::RuleRewriter::Options Mediator::EffectiveRewriterOptions(
     const QueryOptions& options) const {
   optimizer::RuleRewriter::Options rw = rewriter_options_;
-  rw.cim_domains = options.use_cim ? CachedDomains() : std::vector<std::string>{};
+  if (options.use_cim) {
+    rw.cim_domains = cached_domains_;
+  } else {
+    rw.cim_domains.clear();
+  }
   rw.cim_only = options.cim_only && options.use_cim;
   if (!rw.domain_has_function) {
-    // Selection push-down consults the registry for exported functions.
-    const DomainRegistry* registry = &registry_;
-    rw.domain_has_function = [registry](const std::string& domain,
+    // Selection push-down consults the functions each domain exports.
+    const std::vector<ExportedFunction>* exported = &exported_functions_;
+    rw.domain_has_function = [exported](const std::string& domain,
                                         const std::string& function,
                                         size_t arity) {
-      Result<std::shared_ptr<Domain>> d = registry->Get(domain);
-      if (!d.ok()) return false;
-      for (const FunctionInfo& fn : (*d)->Functions()) {
-        if (fn.name == function && fn.arity == arity) return true;
-      }
-      return false;
+      const auto key = ExportKey(domain, function, arity);
+      auto it = std::lower_bound(
+          exported->begin(), exported->end(), key,
+          [](const ExportedFunction& e, const auto& k) {
+            return ExportKey(e.domain, e.function, e.arity) < k;
+          });
+      return it != exported->end() &&
+             ExportKey(it->domain, it->function, it->arity) == key;
     };
   }
   return rw;
@@ -469,10 +501,10 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
   plan.query = query;
   plan.description = "as-written";
   if (options.use_cim && !cims_.empty()) {
-    std::vector<std::string> cached = CachedDomains();
-    optimizer::RuleRewriter::RedirectToCim(&plan.query.goals, cached);
+    optimizer::RuleRewriter::RedirectToCim(&plan.query.goals,
+                                           cached_domains_);
     for (lang::Rule& rule : plan.program.rules) {
-      optimizer::RuleRewriter::RedirectToCim(&rule.body, cached);
+      optimizer::RuleRewriter::RedirectToCim(&rule.body, cached_domains_);
     }
     plan.description = "as-written+cim";
   }
@@ -580,7 +612,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     setup.site_of = [this](const std::string& domain) {
       return SiteOf(domain);
     };
-    setup.cim_domains = CachedDomains();
+    setup.cim_domains = cached_domains_;
     if (replan_options_.divergence_factor > 0.0) {
       setup.estimates = engine::op::SnapshotGoalEstimates(
           &dcsm_, compiled->plan().query.goals);

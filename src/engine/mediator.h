@@ -109,8 +109,9 @@ struct QueryTraffic {
 struct QueryResult {
   engine::QueryExecution execution;
   /// Every candidate plan the optimizer considered (empty when it did not
-  /// run), with estimates filled where estimatable.
-  std::vector<optimizer::CandidatePlan> candidates;
+  /// run): description and estimate. Mediator::Plan's result can
+  /// materialize any of them.
+  std::vector<optimizer::CandidateSummary> candidates;
   std::string plan_description;     ///< Which plan was executed.
   CostVector predicted;             ///< DCSM's prediction for that plan.
   bool predicted_valid = false;
@@ -396,8 +397,10 @@ class Mediator {
   /// registration name, e.g. "video"), or nullptr when the domain is local.
   /// Failure-injection scenarios use it to take a site down mid-run.
   net::NetworkInterceptor* remote_link(const std::string& name);
-  /// Names of domains with CIM wrappers.
-  std::vector<std::string> CachedDomains() const;
+  /// Names of domains with CIM wrappers, in name order.
+  const std::vector<std::string>& CachedDomains() const {
+    return cached_domains_;
+  }
 
   optimizer::RuleRewriter::Options& rewriter_options() {
     return rewriter_options_;
@@ -412,6 +415,10 @@ class Mediator {
 
   optimizer::RuleRewriter::Options EffectiveRewriterOptions(
       const QueryOptions& options) const;
+
+  /// Records the functions `name` exports for selection push-down. Called
+  /// with wiring_mu_ held exclusively after each registration.
+  void IndexExports(const std::string& name);
 
   /// Picks the plan Query() executes for `query` under `options`: the
   /// optimizer's best plan, or the as-written program+query (CIM-redirected
@@ -479,6 +486,17 @@ class Mediator {
   std::map<std::string, std::shared_ptr<resilience::ResilienceInterceptor>>
       resilience_layers_;
   optimizer::RuleRewriter::Options rewriter_options_;
+  /// Planner inputs derived from the wiring, rebuilt under the exclusive
+  /// wiring lock whenever a domain or CIM wrapper is registered: the CIM
+  /// redirection targets, and the functions registered domains export
+  /// (sorted; selection push-down probes it).
+  struct ExportedFunction {
+    std::string domain;
+    std::string function;
+    size_t arity = 0;
+  };
+  std::vector<std::string> cached_domains_;
+  std::vector<ExportedFunction> exported_functions_;
   optimizer::EstimatorParams estimator_params_;
   engine::ExecutorOptions executor_options_;
 

@@ -1,28 +1,9 @@
 #include "optimizer/estimator.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace hermes::optimizer {
-
-namespace {
-
-/// Resolves a term to a static binding description under `env`.
-BindingInfo DescribeTerm(const lang::Term& term, const BindingEnv& env) {
-  if (term.is_constant()) return BindingInfo::Const(term.constant);
-  if (term.is_bound_pattern()) return BindingInfo::Bound();
-  const BindingInfo& base = env.Get(term.var_name);
-  if (term.path.empty()) return base;
-  if (base.is_const()) {
-    Result<Value> resolved = base.constant.GetPath(term.path);
-    if (resolved.ok()) return BindingInfo::Const(*resolved);
-    return BindingInfo::Bound();
-  }
-  // A path over a bound-unknown variable is bound-unknown; over a free
-  // variable it is free.
-  return base.is_bound() ? BindingInfo::Bound() : BindingInfo::Free();
-}
-
-}  // namespace
 
 size_t CostMemo::PatternHash::operator()(
     const lang::DomainCallSpec& pattern) const {
@@ -59,89 +40,344 @@ const Result<dcsm::CostEstimate>& CostMemo::Cost(
   return it->second;
 }
 
-Result<lang::DomainCallSpec> RuleCostEstimator::PatternFor(
-    const lang::DomainCallSpec& call, const BindingEnv& env) const {
-  lang::DomainCallSpec pattern;
-  pattern.domain = call.domain;
-  pattern.function = call.function;
-  pattern.args.reserve(call.args.size());
-  for (const lang::Term& arg : call.args) {
-    BindingInfo info = DescribeTerm(arg, env);
-    switch (info.kind) {
-      case BindingInfo::Kind::kConst:
-        pattern.args.push_back(lang::Term::Const(info.constant));
-        break;
-      case BindingInfo::Kind::kBound:
-        pattern.args.push_back(lang::Term::Bound());
-        break;
-      case BindingInfo::Kind::kFree:
-        return Status::InvalidArgument(
-            "argument '" + arg.ToString() + "' of " + call.ToString() +
-            " is free at execution time (invalid ordering)");
+namespace {
+
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// Static binding knowledge about one variable during plan analysis
+/// (Section 5/6's adornments): free, bound to an unknown value (`$b`), or
+/// bound to a known constant, which points into the plan's own terms.
+struct Slot {
+  enum class Kind : uint8_t { kFree, kBound, kConst };
+  Kind kind = Kind::kFree;
+  const Value* constant = nullptr;  ///< Valid when kind == kConst.
+
+  bool is_bound() const { return kind != Kind::kFree; }
+  bool is_const() const { return kind == Kind::kConst; }
+};
+
+/// A body's variable names, interned to dense slot ids in order of first
+/// appearance.
+class VarNames {
+ public:
+  uint32_t Intern(const std::string& name) {
+    for (size_t i = 0; i < names_.size(); ++i) {
+      if (*names_[i] == name) return static_cast<uint32_t>(i);
     }
+    names_.push_back(&name);
+    return static_cast<uint32_t>(names_.size() - 1);
   }
-  return pattern;
+  uint32_t size() const { return static_cast<uint32_t>(names_.size()); }
+
+ private:
+  std::vector<const std::string*> names_;
+};
+
+std::string PredicateKey(const lang::Atom& atom) {
+  return atom.predicate + "/" + std::to_string(atom.args.size());
 }
 
-Result<CostVector> RuleCostEstimator::EstimatePredicate(
-    const lang::Program& program, const lang::Atom& atom,
-    const BindingEnv& env, size_t depth,
-    std::set<std::string>* active_predicates, double* estimation_ms,
-    CostMemo* memo) const {
-  std::string key = atom.predicate + "/" + std::to_string(atom.args.size());
-  if (depth >= params_.max_recursion_depth ||
-      active_predicates->count(key) > 0) {
-    return Status::Unimplemented(
-        "recursive predicate '" + key +
-        "' is not supported by the cost estimator (see [33])");
+/// Why a walk failed. The optimizer only needs to know that a candidate is
+/// infeasible, so the message is built only when a Status is asked for.
+struct Failure {
+  enum class Kind : uint8_t {
+    kFreeArgument,     ///< `term`, an argument of call `atom`, is free.
+    kBindThroughPath,  ///< `=` would bind through `term`'s path.
+    kTwoFree,          ///< Comparison `atom` has two free sides.
+    kFreeComparison,   ///< Comparison `atom` reads a free variable.
+    kRecursive,        ///< Predicate goal `atom` recurses (or nests too deep).
+    kUndefined,        ///< No rule defines predicate goal `atom`.
+    kDcsm,             ///< The DCSM answered `dcsm`.
+  };
+  Kind kind = Kind::kFreeArgument;
+  const lang::Atom* atom = nullptr;
+  const lang::Term* term = nullptr;
+  const Status* dcsm = nullptr;
+
+  bool recursive() const { return kind == Kind::kRecursive; }
+
+  Status ToStatus() const {
+    switch (kind) {
+      case Kind::kFreeArgument:
+        return Status::InvalidArgument(
+            "argument '" + term->ToString() + "' of " + atom->call.ToString() +
+            " is free at execution time (invalid ordering)");
+      case Kind::kBindThroughPath:
+        return Status::InvalidArgument("cannot bind through '" +
+                                       term->ToString() + "' in " +
+                                       atom->ToString());
+      case Kind::kTwoFree:
+        return Status::InvalidArgument(
+            "comparison with two free variables: " + atom->ToString());
+      case Kind::kFreeComparison:
+        return Status::InvalidArgument("comparison over a free variable: " +
+                                       atom->ToString());
+      case Kind::kRecursive:
+        return Status::Unimplemented(
+            "recursive predicate '" + PredicateKey(*atom) +
+            "' is not supported by the cost estimator (see [33])");
+      case Kind::kUndefined:
+        return Status::NotFound("no rule defines predicate '" +
+                                PredicateKey(*atom) + "'");
+      case Kind::kDcsm:
+        return *dcsm;
+    }
+    return Status::Internal("unknown estimator failure");
   }
-  active_predicates->insert(key);
+};
+
+}  // namespace
+
+/// The compiled shape and the walk's scratch state. Body 0 is the query
+/// goals, body 1 + r is rule r's body. A body's slots live in one frame of
+/// `slots`, pushed when the body is entered and popped when it returns, so
+/// each rule starts from a fresh environment as the paper's formula
+/// requires and nothing is copied between bodies.
+struct RuleCostEstimator::PlanWalk::State {
+  struct Term {
+    enum class Kind : uint8_t { kConst, kBound, kVar };
+    Kind kind = Kind::kConst;
+    uint32_t var = 0;  ///< Slot within the body's frame (kVar).
+    const lang::Term* src = nullptr;
+  };
+  /// Terms: a domain call's arguments then its output; a comparison's lhs
+  /// and rhs; a predicate's arguments. `ref`: a domain call's adornment
+  /// list, or a predicate goal's entry in `predicates` (kNone: no rule).
+  struct Atom {
+    const lang::Atom* src = nullptr;
+    uint32_t first_term = 0;
+    uint32_t ref = kNone;
+  };
+  struct Body {
+    uint32_t first_atom = 0;
+    uint32_t num_atoms = 0;
+    uint32_t num_vars = 0;
+  };
+  struct Predicate {
+    const std::string* name = nullptr;
+    size_t arity = 0;
+    std::vector<uint32_t> rules;  ///< Defining rules, in program order.
+    bool active = false;          ///< Being estimated (recursion guard).
+  };
+  /// DCSM answer for one argument adornment of a domain-call goal: its key
+  /// is `num_args` entries of `keys` from `first_key`, each the constant
+  /// the argument is bound to or null for bound-unknown.
+  struct Adornment {
+    uint32_t first_key = 0;
+    const Result<dcsm::CostEstimate>* answer = nullptr;
+  };
+
+  const RuleCostEstimator* estimator = nullptr;
+  CostMemo* memo = nullptr;
+  std::vector<Term> terms;
+  std::vector<Atom> atoms;
+  std::vector<Body> bodies;
+  std::vector<uint32_t> head_terms;  ///< First head term of each rule.
+  std::vector<Predicate> predicates;
+  std::vector<std::vector<Adornment>> adornments;
+  std::vector<const Value*> keys;
+  std::vector<Slot> slots;
+  const std::vector<const std::vector<uint32_t>*>* rule_orders = nullptr;
+  lang::DomainCallSpec pattern;  ///< Scratch for adornment misses.
+  Failure failure;               ///< Set when a walk step returns false.
+
+  bool Fail(Failure::Kind kind, const lang::Atom* atom,
+            const lang::Term* term = nullptr) {
+    failure = Failure{kind, atom, term, nullptr};
+    return false;
+  }
+
+  Term CompileTerm(const lang::Term& term, VarNames* names) {
+    Term t;
+    t.src = &term;
+    if (term.is_bound_pattern()) {
+      t.kind = Term::Kind::kBound;
+    } else if (term.is_variable()) {
+      t.kind = Term::Kind::kVar;
+      t.var = names->Intern(term.var_name);
+    }
+    return t;
+  }
+
+  uint32_t PredicateOf(const std::string& name, size_t arity) const {
+    for (size_t i = 0; i < predicates.size(); ++i) {
+      if (*predicates[i].name == name && predicates[i].arity == arity) {
+        return static_cast<uint32_t>(i);
+      }
+    }
+    return kNone;
+  }
+
+  void CompileBody(const std::vector<lang::Atom>& body, VarNames* names) {
+    Body b;
+    b.first_atom = static_cast<uint32_t>(atoms.size());
+    b.num_atoms = static_cast<uint32_t>(body.size());
+    for (const lang::Atom& src : body) {
+      Atom a;
+      a.src = &src;
+      a.first_term = static_cast<uint32_t>(terms.size());
+      switch (src.kind) {
+        case lang::Atom::Kind::kDomainCall:
+          for (const lang::Term& arg : src.call.args) {
+            terms.push_back(CompileTerm(arg, names));
+          }
+          terms.push_back(CompileTerm(src.output, names));
+          a.ref = static_cast<uint32_t>(adornments.size());
+          adornments.emplace_back();
+          break;
+        case lang::Atom::Kind::kComparison:
+          terms.push_back(CompileTerm(src.lhs, names));
+          terms.push_back(CompileTerm(src.rhs, names));
+          break;
+        case lang::Atom::Kind::kPredicate:
+          for (const lang::Term& arg : src.args) {
+            terms.push_back(CompileTerm(arg, names));
+          }
+          a.ref = PredicateOf(src.predicate, src.args.size());
+          break;
+      }
+      atoms.push_back(a);
+    }
+    b.num_vars = names->size();
+    bodies.push_back(b);
+  }
+
+  /// The binding of `term` in the frame at `base`.
+  Slot Describe(const Term& term, size_t base) const {
+    switch (term.kind) {
+      case Term::Kind::kConst:
+        return Slot{Slot::Kind::kConst, &term.src->constant};
+      case Term::Kind::kBound:
+        return Slot{Slot::Kind::kBound, nullptr};
+      case Term::Kind::kVar:
+        break;
+    }
+    const Slot& var = slots[base + term.var];
+    if (term.src->path.empty()) return var;
+    if (var.is_const()) {
+      Result<const Value*> resolved = var.constant->GetPathPtr(term.src->path);
+      if (resolved.ok()) return Slot{Slot::Kind::kConst, *resolved};
+      return Slot{Slot::Kind::kBound, nullptr};
+    }
+    // A path over a bound-unknown variable is bound-unknown; over a free
+    // variable it is free.
+    return var;
+  }
+
+  void MarkBound(const Term& term, size_t base) {
+    Slot& slot = slots[base + term.var];
+    if (slot.kind == Slot::Kind::kFree) slot.kind = Slot::Kind::kBound;
+  }
+
+  /// DCSM answer for domain-call goal `a` under the frame at `base`; null
+  /// (and `failure` set) when an argument is free.
+  const Result<dcsm::CostEstimate>* Answer(const Atom& a, size_t base) {
+    const lang::DomainCallSpec& call = a.src->call;
+    const size_t num_args = call.args.size();
+    const size_t mark = keys.size();
+    for (size_t i = 0; i < num_args; ++i) {
+      Slot arg = Describe(terms[a.first_term + i], base);
+      if (!arg.is_bound()) {
+        keys.resize(mark);
+        Fail(Failure::Kind::kFreeArgument, a.src, &call.args[i]);
+        return nullptr;
+      }
+      keys.push_back(arg.constant);
+    }
+    std::vector<Adornment>& seen = adornments[a.ref];
+    for (const Adornment& adornment : seen) {
+      if (std::equal(keys.begin() + mark, keys.end(),
+                     keys.begin() + adornment.first_key)) {
+        keys.resize(mark);
+        return adornment.answer;
+      }
+    }
+    // First use of this adornment: the memo answers per typed pattern, so
+    // equal constants at different places still reach the DCSM once.
+    pattern.domain = call.domain;
+    pattern.function = call.function;
+    pattern.args.resize(num_args);
+    for (size_t i = 0; i < num_args; ++i) {
+      const Value* constant = keys[mark + i];
+      pattern.args[i] = constant != nullptr ? lang::Term::Const(*constant)
+                                            : lang::Term::Bound();
+    }
+    const Result<dcsm::CostEstimate>* answer =
+        &memo->Cost(*estimator->dcsm_, pattern);
+    seen.push_back(Adornment{static_cast<uint32_t>(mark), answer});
+    return answer;
+  }
+
+  /// Cost of body `body_id` walked in `order` over the frame at `base`;
+  /// false (and `failure` set) when the ordering is infeasible.
+  bool EstimateBody(uint32_t body_id, const std::vector<uint32_t>* order,
+                    size_t base, size_t depth, double* estimation_ms,
+                    CostVector* cost);
+  bool EstimatePredicate(const Atom& a, size_t base, size_t depth,
+                         double* estimation_ms, CostVector* cost);
+};
+
+bool RuleCostEstimator::PlanWalk::State::EstimatePredicate(
+    const Atom& a, size_t base, size_t depth, double* estimation_ms,
+    CostVector* cost) {
+  const EstimatorParams& params = estimator->params_;
+  const lang::Atom& atom = *a.src;
+  Predicate* predicate = a.ref == kNone ? nullptr : &predicates[a.ref];
+  if (depth >= params.max_recursion_depth ||
+      (predicate != nullptr && predicate->active)) {
+    return Fail(Failure::Kind::kRecursive, &atom);
+  }
+  if (predicate == nullptr) return Fail(Failure::Kind::kUndefined, &atom);
+  predicate->active = true;
 
   bool any_rule = false;
   double t_first = 0, t_all = 0, card = 0;
   bool first_rule = true;
-  Status failure = Status::OK();
+  std::optional<Failure> last_failure;
 
-  for (const lang::Rule& rule : program.rules) {
-    if (rule.head.predicate != atom.predicate ||
-        rule.head.args.size() != atom.args.size()) {
-      continue;
-    }
-    // Build the rule-local environment by unifying head terms with the
-    // caller's argument descriptions.
-    BindingEnv local;
+  for (uint32_t r : predicate->rules) {
+    const uint32_t body_id = r + 1;
+    // The rule-local environment: head terms unified with the caller's
+    // argument descriptions.
+    const size_t local = slots.size();
+    slots.resize(local + bodies[body_id].num_vars);
     bool head_compatible = true;
     for (size_t i = 0; i < atom.args.size(); ++i) {
-      BindingInfo caller = DescribeTerm(atom.args[i], env);
-      const lang::Term& head_term = rule.head.args[i];
-      if (head_term.is_constant()) {
-        if (caller.is_const() && caller.constant != head_term.constant) {
+      const Slot caller = Describe(terms[a.first_term + i], base);
+      const Term& head = terms[head_terms[r] + i];
+      if (head.kind == Term::Kind::kConst) {
+        if (caller.is_const() && *caller.constant != head.src->constant) {
           head_compatible = false;  // this rule can never match the call
           break;
         }
         continue;
       }
-      if (!head_term.is_variable()) continue;
+      if (head.kind != Term::Kind::kVar) continue;
       // Join variables repeated in the head: keep the strongest knowledge.
-      const BindingInfo& existing = local.Get(head_term.var_name);
-      if (!existing.is_bound() ||
-          (caller.is_const() && !existing.is_const())) {
-        local.Set(head_term.var_name, caller);
+      Slot& existing = slots[local + head.var];
+      if (!existing.is_bound() || (caller.is_const() && !existing.is_const())) {
+        existing = caller;
       }
     }
-    if (!head_compatible) continue;
+    if (!head_compatible) {
+      slots.resize(local);
+      continue;
+    }
 
-    Result<CostVector> body = EstimateBodyInternal(
-        program, rule.body, local, depth + 1, active_predicates,
-        estimation_ms, memo);
-    if (!body.ok()) {
+    const std::vector<uint32_t>* order =
+        rule_orders->empty() ? nullptr : (*rule_orders)[r];
+    CostVector body;
+    const bool ok =
+        EstimateBody(body_id, order, local, depth + 1, estimation_ms, &body);
+    slots.resize(local);
+    if (!ok) {
       // Recursion is a hard error (the paper defers recursive mediators to
       // [33]); an infeasible ordering merely disqualifies this rule.
-      if (body.status().code() == StatusCode::kUnimplemented) {
-        active_predicates->erase(key);
-        return body.status();
+      if (failure.recursive()) {
+        predicate->active = false;
+        return false;
       }
-      failure = body.status();
+      last_failure = failure;
       continue;
     }
     any_rule = true;
@@ -149,128 +385,140 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
     // produced by each rule." Rules are tried sequentially, so the first
     // answer comes from the first feasible rule.
     if (first_rule) {
-      t_first = body->t_first_ms;
+      t_first = body.t_first_ms;
       first_rule = false;
     }
-    t_all += body->t_all_ms;
-    card += body->cardinality;
+    t_all += body.t_all_ms;
+    card += body.cardinality;
   }
 
-  active_predicates->erase(key);
+  predicate->active = false;
   if (!any_rule) {
-    if (!failure.ok()) return failure;
-    return Status::NotFound("no rule defines predicate '" + key + "'");
+    if (last_failure) {
+      failure = *last_failure;
+      return false;
+    }
+    return Fail(Failure::Kind::kUndefined, &atom);
   }
 
   // Predicate-Tf caching extension: replace the formula-derived T_f with
   // the observed first-answer time of comparable past invocations.
-  if (params_.use_predicate_first_answer_stats) {
+  if (params.use_predicate_first_answer_stats) {
     lang::DomainCallSpec pattern;
     pattern.domain = "idb";
     pattern.function = atom.predicate;
     pattern.args.reserve(atom.args.size());
-    for (const lang::Term& arg : atom.args) {
-      BindingInfo info = DescribeTerm(arg, env);
-      pattern.args.push_back(info.is_const()
-                                 ? lang::Term::Const(info.constant)
-                                 : lang::Term::Bound());
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const Slot arg = Describe(terms[a.first_term + i], base);
+      pattern.args.push_back(arg.is_const() ? lang::Term::Const(*arg.constant)
+                                            : lang::Term::Bound());
     }
-    Result<dcsm::Aggregate> observed = dcsm_->Observed(pattern);
+    const dcsm::Dcsm* dcsm = estimator->dcsm_;
+    Result<dcsm::Aggregate> observed = dcsm->Observed(pattern);
     if (!observed.ok()) {
       // Relax fully: any past invocation of this predicate.
       for (lang::Term& arg : pattern.args) arg = lang::Term::Bound();
-      observed = dcsm_->Observed(pattern);
+      observed = dcsm->Observed(pattern);
     }
     if (observed.ok() && observed->has_t_first) {
       t_first = observed->cost.t_first_ms;
-      *estimation_ms += params_.per_predicate_stat_row_ms *
+      *estimation_ms += params.per_predicate_stat_row_ms *
                         static_cast<double>(observed->rows_scanned);
     }
   }
-  return CostVector(t_first, t_all, card);
+  *cost = CostVector(t_first, t_all, card);
+  return true;
 }
 
-Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
-    const lang::Program& program, const std::vector<lang::Atom>& goals,
-    BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-    double* estimation_ms, CostMemo* memo) const {
+bool RuleCostEstimator::PlanWalk::State::EstimateBody(
+    uint32_t body_id, const std::vector<uint32_t>* order, size_t base,
+    size_t depth, double* estimation_ms, CostVector* cost) {
+  const EstimatorParams& params = estimator->params_;
+  const Body body = bodies[body_id];
   double t_first = 0.0;
   double t_all = 0.0;
   double card = 1.0;
   double prefix_card = 1.0;  // Π_{j<i} Card_j
 
-  for (const lang::Atom& goal : goals) {
+  for (uint32_t k = 0; k < body.num_atoms; ++k) {
+    const Atom& a =
+        atoms[body.first_atom + (order != nullptr ? (*order)[k] : k)];
+    const lang::Atom& goal = *a.src;
     CostVector goal_cost;
     double selectivity = 1.0;
 
     switch (goal.kind) {
       case lang::Atom::Kind::kDomainCall: {
-        HERMES_ASSIGN_OR_RETURN(lang::DomainCallSpec pattern,
-                                PatternFor(goal.call, env));
-        const Result<dcsm::CostEstimate>& est = memo->Cost(*dcsm_, pattern);
-        if (!est.ok()) return est.status();
-        *estimation_ms += est->lookup_ms;
-        goal_cost = est->cost;
-        BindingInfo out = DescribeTerm(goal.output, env);
-        if (out.is_bound()) {
+        const Result<dcsm::CostEstimate>* est = Answer(a, base);
+        if (est == nullptr) return false;
+        if (!est->ok()) {
+          failure = Failure{Failure::Kind::kDcsm, &goal, nullptr,
+                            &est->status()};
+          return false;
+        }
+        *estimation_ms += (*est)->lookup_ms;
+        goal_cost = (*est)->cost;
+        const Term& output = terms[a.first_term + goal.call.args.size()];
+        if (Describe(output, base).is_bound()) {
           // Membership check: at most one continuation per call.
           goal_cost.cardinality = std::min(
-              1.0, goal_cost.cardinality * params_.membership_selectivity);
-        } else if (goal.output.is_variable()) {
-          env.MarkBound(goal.output.var_name);
+              1.0, goal_cost.cardinality * params.membership_selectivity);
+        } else if (output.kind == Term::Kind::kVar) {
+          MarkBound(output, base);
         }
         break;
       }
       case lang::Atom::Kind::kComparison: {
-        goal_cost = CostVector(params_.comparison_cost_ms,
-                               params_.comparison_cost_ms, 1.0);
-        BindingInfo lhs = DescribeTerm(goal.lhs, env);
-        BindingInfo rhs = DescribeTerm(goal.rhs, env);
+        goal_cost = CostVector(params.comparison_cost_ms,
+                               params.comparison_cost_ms, 1.0);
+        const Term& lhs_term = terms[a.first_term];
+        const Term& rhs_term = terms[a.first_term + 1];
+        const Slot lhs = Describe(lhs_term, base);
+        const Slot rhs = Describe(rhs_term, base);
         if (lhs.is_const() && rhs.is_const()) {
           // Statically decidable.
           selectivity =
-              lang::EvalRelOp(goal.op, lhs.constant, rhs.constant) ? 1.0 : 0.0;
+              lang::EvalRelOp(goal.op, *lhs.constant, *rhs.constant) ? 1.0
+                                                                     : 0.0;
         } else if (lhs.is_bound() && rhs.is_bound()) {
           switch (goal.op) {
             case lang::RelOp::kEq:
-              selectivity = params_.eq_selectivity;
+              selectivity = params.eq_selectivity;
               break;
             case lang::RelOp::kNeq:
-              selectivity = params_.neq_selectivity;
+              selectivity = params.neq_selectivity;
               break;
             default:
-              selectivity = params_.range_selectivity;
+              selectivity = params.range_selectivity;
               break;
           }
         } else if (goal.op == lang::RelOp::kEq) {
           // Assignment: binds the free side.
-          const lang::Term& free_term = lhs.is_bound() ? goal.rhs : goal.lhs;
-          const BindingInfo& known = lhs.is_bound() ? lhs : rhs;
-          if (!free_term.is_variable() || !free_term.path.empty()) {
-            return Status::InvalidArgument(
-                "cannot bind through '" + free_term.ToString() + "' in " +
-                goal.ToString());
+          const Term& free_term = lhs.is_bound() ? rhs_term : lhs_term;
+          const Slot known = lhs.is_bound() ? lhs : rhs;
+          if (free_term.kind != Term::Kind::kVar ||
+              !free_term.src->path.empty()) {
+            return Fail(Failure::Kind::kBindThroughPath, &goal,
+                        free_term.src);
           }
           if (!lhs.is_bound() && !rhs.is_bound()) {
-            return Status::InvalidArgument(
-                "comparison with two free variables: " + goal.ToString());
+            return Fail(Failure::Kind::kTwoFree, &goal);
           }
-          env.Set(free_term.var_name, known);
+          slots[base + free_term.var] = known;
           selectivity = 1.0;
         } else {
-          return Status::InvalidArgument(
-              "comparison over a free variable: " + goal.ToString());
+          return Fail(Failure::Kind::kFreeComparison, &goal);
         }
         goal_cost.cardinality = selectivity;
         break;
       }
       case lang::Atom::Kind::kPredicate: {
-        HERMES_ASSIGN_OR_RETURN(
-            goal_cost,
-            EstimatePredicate(program, goal, env, depth, active_predicates,
-                              estimation_ms, memo));
-        for (const lang::Term& arg : goal.args) {
-          if (arg.is_variable()) env.MarkBound(arg.var_name);
+        if (!EstimatePredicate(a, base, depth, estimation_ms, &goal_cost)) {
+          return false;
+        }
+        for (size_t i = 0; i < goal.args.size(); ++i) {
+          const Term& arg = terms[a.first_term + i];
+          if (arg.kind == Term::Kind::kVar) MarkBound(arg, base);
         }
         break;
       }
@@ -282,26 +530,79 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
     card = prefix_card;
   }
 
-  return CostVector(t_first, t_all, card);
+  *cost = CostVector(t_first, t_all, card);
+  return true;
+}
+
+RuleCostEstimator::PlanWalk::PlanWalk(const RuleCostEstimator& estimator,
+                                      const std::vector<lang::Atom>& goals,
+                                      const std::vector<lang::Rule>& rules,
+                                      CostMemo* memo)
+    : state_(std::make_unique<State>()) {
+  State& s = *state_;
+  s.estimator = &estimator;
+  s.memo = memo;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const lang::Atom& head = rules[r].head;
+    uint32_t p = s.PredicateOf(head.predicate, head.args.size());
+    if (p == kNone) {
+      p = static_cast<uint32_t>(s.predicates.size());
+      s.predicates.push_back(
+          State::Predicate{&head.predicate, head.args.size(), {}, false});
+    }
+    s.predicates[p].rules.push_back(static_cast<uint32_t>(r));
+  }
+  VarNames query_vars;
+  s.CompileBody(goals, &query_vars);
+  s.head_terms.reserve(rules.size());
+  for (const lang::Rule& rule : rules) {
+    VarNames vars;
+    s.head_terms.push_back(static_cast<uint32_t>(s.terms.size()));
+    for (const lang::Term& arg : rule.head.args) {
+      s.terms.push_back(s.CompileTerm(arg, &vars));
+    }
+    s.CompileBody(rule.body, &vars);
+  }
+}
+
+RuleCostEstimator::PlanWalk::PlanWalk(PlanWalk&&) noexcept = default;
+RuleCostEstimator::PlanWalk::~PlanWalk() = default;
+
+std::optional<RuleCostEstimator::Estimate>
+RuleCostEstimator::PlanWalk::TryCost(
+    const std::vector<uint32_t>* goal_order,
+    const std::vector<const std::vector<uint32_t>*>& rule_orders) {
+  State& s = *state_;
+  s.rule_orders = &rule_orders;
+  s.slots.assign(s.bodies[0].num_vars, Slot{});
+  Estimate estimate;
+  if (!s.EstimateBody(0, goal_order, 0, 0, &estimate.estimation_ms,
+                      &estimate.cost)) {
+    return std::nullopt;
+  }
+  return estimate;
+}
+
+Result<RuleCostEstimator::Estimate> RuleCostEstimator::PlanWalk::Cost(
+    const std::vector<uint32_t>* goal_order,
+    const std::vector<const std::vector<uint32_t>*>& rule_orders) {
+  std::optional<Estimate> estimate = TryCost(goal_order, rule_orders);
+  if (!estimate) return state_->failure.ToStatus();
+  return *estimate;
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimateBody(
     const lang::Program& program, const std::vector<lang::Atom>& goals,
-    const BindingEnv& env, CostMemo* memo) const {
+    CostMemo* memo) const {
   CostMemo call_memo;
-  Estimate estimate;
-  std::set<std::string> active;
-  HERMES_ASSIGN_OR_RETURN(
-      estimate.cost,
-      EstimateBodyInternal(program, goals, env, 0, &active,
-                           &estimate.estimation_ms,
-                           memo != nullptr ? memo : &call_memo));
-  return estimate;
+  return PlanWalk(*this, goals, program.rules,
+                  memo != nullptr ? memo : &call_memo)
+      .Cost(nullptr, {});
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimatePlan(
     const CandidatePlan& plan, CostMemo* memo) const {
-  return EstimateBody(plan.program, plan.query.goals, BindingEnv(), memo);
+  return EstimateBody(plan.program, plan.query.goals, memo);
 }
 
 }  // namespace hermes::optimizer

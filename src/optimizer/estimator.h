@@ -1,7 +1,9 @@
 #ifndef HERMES_OPTIMIZER_ESTIMATOR_H_
 #define HERMES_OPTIMIZER_ESTIMATOR_H_
 
-#include <set>
+#include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -10,7 +12,6 @@
 #include "common/sim_costs.h"
 #include "dcsm/dcsm.h"
 #include "lang/ast.h"
-#include "optimizer/binding_env.h"
 #include "optimizer/plan.h"
 
 namespace hermes::optimizer {
@@ -79,42 +80,59 @@ class RuleCostEstimator {
   RuleCostEstimator(const dcsm::Dcsm* dcsm, EstimatorParams params = {})
       : dcsm_(dcsm), params_(params) {}
 
-  /// Estimate of one candidate plan. Returns InvalidArgument when the plan
-  /// ordering is infeasible for the query's adornment (e.g. a domain call
-  /// argument can be free at execution time). DCSM answers come from
-  /// `memo`, which the caller scopes to one planning run; null scopes a
-  /// memo to this call.
   struct Estimate {
     CostVector cost;
     double estimation_ms = 0.0;  ///< Simulated DCSM lookup time.
   };
+
+  /// One plan shape — query goals plus rules — costed under any number of
+  /// body orderings. The shape is compiled once: variables are interned to
+  /// dense slots per body, predicate goals are resolved to their rules, and
+  /// each domain-call goal remembers the DCSM answer of every argument
+  /// adornment it was costed under. A walk then reads goal `k` of a body as
+  /// `body[order[k]]`; nothing is copied or permuted. The goals, rules and
+  /// `memo` must outlive the walk.
+  class PlanWalk {
+   public:
+    PlanWalk(const RuleCostEstimator& estimator,
+             const std::vector<lang::Atom>& goals,
+             const std::vector<lang::Rule>& rules, CostMemo* memo);
+    PlanWalk(PlanWalk&&) noexcept;
+    ~PlanWalk();
+
+    /// Estimate of the plan whose goals run in `goal_order` and whose rule
+    /// `r` body runs in `rule_orders[r]` (null, or an empty `rule_orders`:
+    /// as written). InvalidArgument when the ordering is infeasible for
+    /// the query's adornment (e.g. a domain-call argument can be free at
+    /// execution time).
+    Result<Estimate> Cost(
+        const std::vector<uint32_t>* goal_order,
+        const std::vector<const std::vector<uint32_t>*>& rule_orders);
+    /// Cost without the reason for a failure: nullopt when Cost would
+    /// return an error. The optimizer only needs to know that a candidate
+    /// is infeasible, and building the message is most of that case's work.
+    std::optional<Estimate> TryCost(
+        const std::vector<uint32_t>* goal_order,
+        const std::vector<const std::vector<uint32_t>*>& rule_orders);
+
+   private:
+    struct State;
+    std::unique_ptr<State> state_;
+  };
+
+  /// Estimate of one materialized plan, as written. DCSM answers come from
+  /// `memo`, which the caller scopes to one planning run; null scopes a
+  /// memo to this call.
   Result<Estimate> EstimatePlan(const CandidatePlan& plan,
                                 CostMemo* memo = nullptr) const;
 
-  /// Estimates a body (query goals or rule body) under an initial binding
-  /// environment against `program`'s rules. `memo` as for EstimatePlan.
+  /// Estimates query goals, as written, against `program`'s rules. `memo`
+  /// as for EstimatePlan.
   Result<Estimate> EstimateBody(const lang::Program& program,
                                 const std::vector<lang::Atom>& goals,
-                                const BindingEnv& env,
                                 CostMemo* memo = nullptr) const;
 
  private:
-  Result<CostVector> EstimateBodyInternal(
-      const lang::Program& program, const std::vector<lang::Atom>& goals,
-      BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-      double* estimation_ms, CostMemo* memo) const;
-
-  Result<CostVector> EstimatePredicate(
-      const lang::Program& program, const lang::Atom& atom,
-      const BindingEnv& env, size_t depth,
-      std::set<std::string>* active_predicates, double* estimation_ms,
-      CostMemo* memo) const;
-
-  /// Converts a domain-call atom to a DCSM pattern under `env`; fails if
-  /// any argument variable is free.
-  Result<lang::DomainCallSpec> PatternFor(const lang::DomainCallSpec& call,
-                                          const BindingEnv& env) const;
-
   const dcsm::Dcsm* dcsm_;
   EstimatorParams params_;
 };

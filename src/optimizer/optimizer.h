@@ -1,6 +1,7 @@
 #ifndef HERMES_OPTIMIZER_OPTIMIZER_H_
 #define HERMES_OPTIMIZER_OPTIMIZER_H_
 
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -16,17 +17,29 @@ namespace hermes::optimizer {
 /// operation (all answers vs. interactive).
 enum class OptimizationGoal { kAllAnswers, kFirstAnswer };
 
+/// What the optimizer reports about one candidate it costed.
+struct CandidateSummary {
+  std::string description;  ///< The transformations, numbered (" #i").
+  CostVector estimated;
+  double estimation_ms = 0.0;  ///< Simulated DCSM time spent estimating.
+  bool estimatable = false;    ///< False when the ordering is infeasible.
+};
+
 /// The outcome of optimizing one query.
 struct OptimizerResult {
-  CandidatePlan best;
-  /// Every candidate considered, with `estimated`/`estimatable` filled —
-  /// useful for the plan-choice-accuracy experiments.
-  std::vector<CandidatePlan> candidates;
+  CandidatePlan best;  ///< The winner, materialized, with its estimate.
+  size_t best_index = 0;
+  /// Every candidate considered, in enumeration order, with
+  /// `estimated`/`estimatable` filled — useful for the plan-choice-accuracy
+  /// experiments. `space.Materialize(i)` builds candidate `i`.
+  std::vector<CandidateSummary> candidates;
+  PlanSpace space;
   double total_estimation_ms = 0.0;  ///< Simulated optimizer time.
 };
 
-/// End-to-end query optimizer: rewrite → estimate each plan via DCSM →
-/// pick the cheapest for the requested goal.
+/// End-to-end query optimizer: rewrite → estimate each candidate via DCSM,
+/// in place through its ordering indexes → materialize the cheapest for the
+/// requested goal.
 class QueryOptimizer {
  public:
   QueryOptimizer(const dcsm::Dcsm* dcsm,

@@ -1,6 +1,7 @@
 #ifndef HERMES_OPTIMIZER_REWRITER_H_
 #define HERMES_OPTIMIZER_REWRITER_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -10,6 +11,69 @@
 #include "optimizer/plan.h"
 
 namespace hermes::optimizer {
+
+/// The candidate plans of one query, held as rewritten variants plus
+/// ordering indexes instead of as materialized programs.
+///
+/// A variant is one combination of selection push-down and CIM redirection
+/// applied to the query goals and the rules reachable from them; it holds
+/// those rules once. Candidate `i` picks a variant, one executable ordering
+/// of its goals and one of each reorderable rule body, in the order the
+/// rewriter enumerates them. The cost estimator walks a candidate through
+/// these indexes; only the plan that is kept needs `Materialize`.
+class PlanSpace {
+ public:
+  using Ordering = std::vector<uint32_t>;
+
+  struct Variant {
+    std::vector<lang::Atom> goals;
+    std::vector<lang::Rule> rules;
+    std::string description;  ///< "direct", "pushdown", with "+cim".
+    /// Domain calls routed to a CIM wrapper (`cim_*`): the optimizer's
+    /// tie-break, the same for every ordering of the variant.
+    size_t cim_calls = 0;
+  };
+
+  size_t size() const { return candidates_.size(); }
+  const std::vector<Variant>& variants() const { return variants_; }
+  /// The variant candidate `i` is drawn from.
+  size_t VariantOf(size_t i) const { return candidates_[i].variant; }
+  /// Candidate `i`'s description: its variant's, numbered (" #i").
+  std::string Description(size_t i) const;
+  /// Candidate `i`'s goal ordering, and its body ordering of every rule of
+  /// its variant (null: the body as written), written to `rule_orders`.
+  const Ordering& GoalOrdering(size_t i) const;
+  void RuleOrderings(size_t i,
+                     std::vector<const Ordering*>* rule_orders) const;
+  /// Builds candidate `i` as a program: goals and rule bodies permuted.
+  CandidatePlan Materialize(size_t i) const;
+
+ private:
+  friend class RuleRewriter;
+  /// The executable orderings of a variant's goals, and of each rule body
+  /// that has more than one.
+  struct Orderings {
+    std::vector<Ordering> goals;
+    std::vector<size_t> reorderable_rules;
+    std::vector<std::vector<Ordering>> rules;  ///< Per reorderable rule.
+  };
+  struct Candidate {
+    uint32_t variant = 0;
+    uint32_t goal_ordering = 0;
+    uint32_t rule_choice = 0;  ///< Offset of its picks in rule_choices_.
+  };
+  const Orderings& OrderingsOf(const Candidate& c) const {
+    return orderings_[variant_orderings_[c.variant]];
+  }
+  std::vector<Variant> variants_;
+  /// Per variant, its entry in orderings_: a CIM variant shares the entry
+  /// of its uncached twin when the two order alike.
+  std::vector<uint32_t> variant_orderings_;
+  std::vector<Orderings> orderings_;
+  std::vector<Candidate> candidates_;
+  /// Per candidate, one Orderings::rules index per reorderable rule.
+  std::vector<uint32_t> rule_choices_;
+};
 
 /// Section 5's rule rewriter.
 ///
@@ -26,6 +90,9 @@ namespace hermes::optimizer {
 /// candidate plans carry only those rules: no other rule can execute.
 class RuleRewriter {
  public:
+  using HasFunction = std::function<bool(
+      const std::string& domain, const std::string& function, size_t arity)>;
+
   struct Options {
     bool reorder_subgoals = true;
     bool push_selections = true;
@@ -34,19 +101,17 @@ class RuleRewriter {
     std::vector<std::string> cim_domains;
     /// When true, only CIM-redirected variants are emitted.
     bool cim_only = false;
-    /// Predicate deciding whether `domain` exports `function` at `arity`
-    /// (used by selection push-down). Unset: push-down applies to the
-    /// select_* family by name.
-    std::function<bool(const std::string& domain, const std::string& function,
-                       size_t arity)>
-        domain_has_function;
+    /// Decides whether `domain` exports `function` at `arity` (used by
+    /// selection push-down). Unset: push-down applies to the select_*
+    /// family by name.
+    HasFunction domain_has_function;
     size_t max_orderings_per_body = 24;
     size_t max_plans = 128;
   };
 
-  /// Enumerates candidate plans. At least one plan (the original ordering)
-  /// is always returned for a well-formed input.
-  static Result<std::vector<CandidatePlan>> Rewrite(
+  /// Enumerates the candidate plans. At least one candidate (the original
+  /// ordering) exists for a well-formed input.
+  static Result<PlanSpace> Rewrite(
       const lang::Program& program, const lang::Query& query,
       const Options& options);
 
@@ -63,10 +128,8 @@ class RuleRewriter {
 
   /// Applies selection push-down to one body in place; returns the number
   /// of selections pushed.
-  static size_t PushSelections(
-      std::vector<lang::Atom>* body,
-      const std::function<bool(const std::string&, const std::string&,
-                               size_t)>& domain_has_function);
+  static size_t PushSelections(std::vector<lang::Atom>* body,
+                               const HasFunction& domain_has_function);
 
   /// Enumerates permutations of `body` under which every domain call's
   /// arguments and every comparison's operands are bound when reached.
@@ -74,6 +137,11 @@ class RuleRewriter {
   static std::vector<std::vector<lang::Atom>> ValidOrderings(
       const std::vector<lang::Atom>& body,
       const std::vector<std::string>& initially_bound, size_t max_orderings);
+
+ private:
+  /// The executable orderings of `variant`'s goals and rule bodies.
+  static PlanSpace::Orderings SearchOrderings(const PlanSpace::Variant& variant,
+                                              const Options& options);
 };
 
 }  // namespace hermes::optimizer

@@ -349,5 +349,52 @@ TEST(DegradationTest, HedgeRescueNeverMasksAnotherSitesLoss) {
   EXPECT_GT(hedge_wins, 0u);
 }
 
+TEST(DegradationTest, FailedHedgeLeavesNoTraceOnTheRescuedCall) {
+  // s1's replica is down for good and s1 itself flips a coin per attempt.
+  // A hedge of an s1 call therefore always fails, and the retried primary
+  // often answers anyway. The failed hedge's traffic counts, but its
+  // failure must not outlive it: a query that received every answer is
+  // complete and names no lost source.
+  uint64_t hedges = 0;
+  size_t answered = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Mediator med;
+    resilience::ResiliencePolicy policy;
+    policy.retry.max_retries = 3;
+    policy.hedge.enabled = true;
+    policy.hedge.quantile = 0.5;
+    policy.hedge.min_samples = 1;
+    policy.hedge.budget_percent = 50.0;
+    med.set_default_resilience_policy(policy);
+    testbed::TopologyOptions topo;
+    topo.num_sites = 8;
+    ASSERT_TRUE(testbed::SetupOverloadTopology(&med, topo).ok());
+    med.set_per_query_network_rng(true);
+    med.set_async_execution(true);
+    ASSERT_TRUE(med.SetFaultPlan(MustParse("seed " + std::to_string(seed) +
+                                           "\noutage site=s1_alt_site\n"
+                                           "flaky site=s1_site p=0.4\n"))
+                    .ok());
+    QueryOptions options = RawQuery();
+    options.partial_results = true;
+    Result<QueryResult> res = med.Query(
+        "?- in(A, s1:work(1)) & in(B, s1:work(2)) & in(C, s1:work(3)) & "
+        "in(D, s1:work(4)).",
+        options);
+    ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.status();
+    hedges += res->metrics.hedges;
+    if (res->execution.answers.empty()) continue;
+    ++answered;
+    EXPECT_EQ(res->completeness, QueryCompleteness::kComplete)
+        << "seed " << seed;
+    for (const SourceError& e : res->lost_sources) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.ToString();
+    }
+  }
+  // The path is exercised: hedges were issued, and most queries answered.
+  EXPECT_GT(hedges, 0u);
+  EXPECT_GT(answered, 100u);
+}
+
 }  // namespace
 }  // namespace hermes

@@ -75,12 +75,14 @@ TEST(CostMemoTest, RepeatedPatternsReachTheDcsmOncePerRun) {
   // estimation time match a memo-less estimate of every candidate.
   RuleCostEstimator estimator(&dcsm);
   double total = 0.0;
-  for (const CandidatePlan& plan : planned->candidates) {
-    Result<RuleCostEstimator::Estimate> alone = estimator.EstimatePlan(plan);
+  for (size_t i = 0; i < planned->candidates.size(); ++i) {
+    const CandidateSummary& summary = planned->candidates[i];
+    Result<RuleCostEstimator::Estimate> alone =
+        estimator.EstimatePlan(planned->space.Materialize(i));
     ASSERT_TRUE(alone.ok());
     EXPECT_GT(alone->estimation_ms, 0.0);
-    EXPECT_EQ(plan.estimation_ms, alone->estimation_ms);
-    EXPECT_EQ(plan.estimated.t_all_ms, alone->cost.t_all_ms);
+    EXPECT_EQ(summary.estimation_ms, alone->estimation_ms);
+    EXPECT_EQ(summary.estimated.t_all_ms, alone->cost.t_all_ms);
     total += alone->estimation_ms;
   }
   EXPECT_EQ(planned->total_estimation_ms, total);

@@ -28,6 +28,15 @@ std::string BodyString(const std::vector<lang::Atom>& body) {
   return out;
 }
 
+/// Every candidate of `space`, built as a program.
+std::vector<CandidatePlan> MaterializeAll(const PlanSpace& space) {
+  std::vector<CandidatePlan> plans;
+  for (size_t i = 0; i < space.size(); ++i) {
+    plans.push_back(space.Materialize(i));
+  }
+  return plans;
+}
+
 TEST(ValidOrderingsTest, DomainCallArgsMustBeBound) {
   // in(C, d:f(B)) cannot run before B is produced.
   lang::Rule rule = *lang::Parser::ParseRule(
@@ -187,12 +196,11 @@ TEST(RewriteTest, PaperSectionFivePlansP8AndP12) {
   )");
   lang::Query query = MustQuery("?- m('a', C).");
   RuleRewriter::Options options;
-  Result<std::vector<CandidatePlan>> plans =
-      RuleRewriter::Rewrite(program, query, options);
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
   ASSERT_TRUE(plans.ok()) << plans.status();
   // Both orderings of m's body appear in some plan.
   bool p_first = false, q_first = false;
-  for (const CandidatePlan& plan : *plans) {
+  for (const CandidatePlan& plan : MaterializeAll(*plans)) {
     for (const lang::Rule& rule : plan.program.rules) {
       if (rule.head.predicate != "m") continue;
       if (rule.body[0].predicate == "p") p_first = true;
@@ -208,11 +216,10 @@ TEST(RewriteTest, CimVariantsGenerated) {
   lang::Query query = MustQuery("?- m(A).");
   RuleRewriter::Options options;
   options.cim_domains = {"video"};
-  Result<std::vector<CandidatePlan>> plans =
-      RuleRewriter::Rewrite(program, query, options);
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
   ASSERT_TRUE(plans.ok());
   bool direct = false, cim = false;
-  for (const CandidatePlan& plan : *plans) {
+  for (const CandidatePlan& plan : MaterializeAll(*plans)) {
     for (const lang::Rule& rule : plan.program.rules) {
       for (const lang::Atom& atom : rule.body) {
         if (!atom.is_domain_call()) continue;
@@ -237,12 +244,11 @@ TEST(RewriteTest, PlansCarryOnlyReachableRules) {
   lang::Query query = MustQuery("?- m(A).");
   RuleRewriter::Options options;
   options.cim_domains = {"video"};
-  Result<std::vector<CandidatePlan>> plans =
-      RuleRewriter::Rewrite(program, query, options);
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
   ASSERT_TRUE(plans.ok()) << plans.status();
   ASSERT_EQ(plans->size(), 1u);
-  EXPECT_EQ((*plans)[0].description, "direct #0");
-  EXPECT_EQ((*plans)[0].program.ToString(),
+  EXPECT_EQ(plans->Materialize(0).description, "direct #0");
+  EXPECT_EQ(plans->Materialize(0).program.ToString(),
             "m(A) :- n(A).\nn(A) :- in(A, d:g(1)).\n");
 }
 
@@ -252,10 +258,9 @@ TEST(RewriteTest, CimOnlySuppressesDirectPlans) {
   RuleRewriter::Options options;
   options.cim_domains = {"video"};
   options.cim_only = true;
-  Result<std::vector<CandidatePlan>> plans =
-      RuleRewriter::Rewrite(program, query, options);
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
   ASSERT_TRUE(plans.ok());
-  for (const CandidatePlan& plan : *plans) {
+  for (const CandidatePlan& plan : MaterializeAll(*plans)) {
     for (const lang::Rule& rule : plan.program.rules) {
       for (const lang::Atom& atom : rule.body) {
         if (atom.is_domain_call()) {
@@ -282,8 +287,7 @@ TEST(RewriteTest, PlanCapRespected) {
   lang::Query query = MustQuery("?- m(A, B, C).");
   RuleRewriter::Options options;
   options.max_plans = 4;
-  Result<std::vector<CandidatePlan>> plans =
-      RuleRewriter::Rewrite(program, query, options);
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
   ASSERT_TRUE(plans.ok());
   EXPECT_LE(plans->size(), 4u);
 }
