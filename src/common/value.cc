@@ -1,6 +1,7 @@
 #include "common/value.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -96,11 +97,17 @@ Result<const Value*> Value::GetPathPtr(
     const std::vector<std::string>& path) const {
   const Value* current = this;
   for (const std::string& step : path) {
-    Result<const Value*> next = IsAllDigits(step)
-                                    ? current->GetIndexPtr(std::stoul(step))
-                                    : current->GetAttrPtr(step);
-    if (!next.ok()) return next.status();
-    current = next.value();
+    if (!IsAllDigits(step)) {
+      HERMES_ASSIGN_OR_RETURN(current, current->GetAttrPtr(step));
+      continue;
+    }
+    size_t index1 = 0;
+    const char* last = step.data() + step.size();
+    if (std::from_chars(step.data(), last, index1).ec != std::errc()) {
+      return Status::NotFound("index " + step + " out of range for " +
+                              current->ToString());
+    }
+    HERMES_ASSIGN_OR_RETURN(current, current->GetIndexPtr(index1));
   }
   return current;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace hermes::lang {
 namespace {
 
@@ -164,10 +167,29 @@ TEST(ParserTest, InvariantConditionsMustBeComparisons) {
       Parser::ParseInvariant("p(X) => d:f(X) = d:g(X).").ok());
 }
 
+TEST(ParserTest, NonComparisonConditionReportsItsPosition) {
+  Status s = Parser::ParseInvariant("X > 1 &\n  p(X) => d:f(X) = d:g(X).")
+                 .status();
+  ASSERT_TRUE(s.IsParseError());
+  EXPECT_EQ(s.message(),
+            "invariant conditions must be comparison atoms, got 'p(X)' "
+            "(line 2, column 3)");
+}
+
 TEST(ParserTest, InvariantFreeConditionVariableRejected) {
   Status s = Parser::ParseInvariant("Z > 1 => d:f(X) = d:g(X).").status();
   ASSERT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("'Z'"), std::string::npos);
+}
+
+TEST(ParserTest, FreeConditionVariableReportsItsConditionsPosition) {
+  Status s = Parser::ParseInvariants(
+                 "=> d:f(X) = d:g(X).\nX > 1 & Z < 2 => d:f(X) = d:g(X).")
+                 .status();
+  ASSERT_TRUE(s.IsParseError());
+  EXPECT_EQ(s.message(),
+            "invariant condition variable 'Z' does not appear in either "
+            "domain call (line 2, column 9)");
 }
 
 TEST(ParserTest, ParsesMultipleInvariants) {
@@ -188,6 +210,52 @@ TEST(ParserTest, InvariantRoundTrip) {
   Result<Invariant> inv2 = Parser::ParseInvariant(inv1->ToString());
   ASSERT_TRUE(inv2.ok()) << inv2.status();
   EXPECT_EQ(inv1->ToString(), inv2->ToString());
+}
+
+TEST(ParserTest, OutOfRangeNumbersArePositionedParseErrors) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"?- p(99999999999999999999).",
+       "integer literal '99999999999999999999' is out of range "
+       "(line 1, column 6)"},
+      {"?- p(-99999999999999999999).",
+       "integer literal '-99999999999999999999' is out of range "
+       "(line 1, column 6)"},
+      {"?- p(1e999).", "double literal '1e999' is out of range "
+                       "(line 1, column 6)"},
+      {"?- in(X, d:f()) &\n   X.a = 4e-400.",
+       "double literal '4e-400' is out of range (line 2, column 10)"},
+  };
+  for (const auto& [text, message] : cases) {
+    Status s = Parser::ParseQuery(text).status();
+    ASSERT_TRUE(s.IsParseError()) << text;
+    EXPECT_EQ(s.message(), message);
+  }
+  Result<Query> edge = Parser::ParseQuery(
+      "?- p(9223372036854775807, -9223372036854775808).");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->goals[0].args[0].constant, Value::Int(INT64_MAX));
+  EXPECT_EQ(edge->goals[0].args[1].constant, Value::Int(INT64_MIN));
+}
+
+TEST(ParserTest, SymbolConstantsOpenInfixComparisons) {
+  // `=(true, X)` prints as `true = X`; the print must read back.
+  Result<Query> prefix = Parser::ParseQuery("?- =(true, X) & =(sym, Y).");
+  ASSERT_TRUE(prefix.ok()) << prefix.status();
+  EXPECT_EQ(prefix->ToString(), "?- true = X & 'sym' = Y.");
+  Result<Query> infix = Parser::ParseQuery(prefix->ToString());
+  ASSERT_TRUE(infix.ok()) << infix.status();
+  EXPECT_EQ(infix->ToString(), prefix->ToString());
+  Result<Query> bare = Parser::ParseQuery("?- null != X.");
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_TRUE(bare->goals[0].is_comparison());
+}
+
+TEST(ParserTest, BareInIsNotAPredicate) {
+  // A 0-ary `in` would print as `in()`, which reads as a domain call.
+  Status s = Parser::ParseQuery("?- p & in.").status();
+  ASSERT_TRUE(s.IsParseError());
+  EXPECT_EQ(s.message(),
+            "expected '(' after 'in', found '.' (line 1, column 10)");
 }
 
 // ---- Call patterns -----------------------------------------------------------
