@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <type_traits>
+#include <utility>
+
 namespace hermes::lang {
 namespace {
 
-std::vector<Token> MustLex(const std::string& text) {
+std::vector<Token> MustLex(std::string_view text) {
   Lexer lexer(text);
   Result<std::vector<Token>> tokens = lexer.Tokenize();
   EXPECT_TRUE(tokens.ok()) << tokens.status();
@@ -19,9 +23,10 @@ TEST(LexerTest, EmptyInputYieldsEnd) {
 }
 
 TEST(LexerTest, LowercaseIdentifierIsConstantSymbol) {
-  std::vector<Token> t = MustLex("rupert");
+  const std::string_view src = "rupert";
+  std::vector<Token> t = MustLex(src);
   EXPECT_EQ(t[0].kind, TokenKind::kIdent);
-  EXPECT_EQ(t[0].text, "rupert");
+  EXPECT_EQ(t[0].Text(src), "rupert");
 }
 
 TEST(LexerTest, UppercaseAndUnderscoreAreVariables) {
@@ -35,41 +40,59 @@ TEST(LexerTest, DollarBIsItsOwnToken) {
 }
 
 TEST(LexerTest, VariableAttributePathIsLexedIntoTheToken) {
-  std::vector<Token> t = MustLex("$ans.1.name");
+  const std::string_view src = "$ans.1.name";
+  std::vector<Token> t = MustLex(src);
   ASSERT_EQ(t[0].kind, TokenKind::kVariable);
-  EXPECT_EQ(t[0].text, "$ans");
-  EXPECT_EQ(t[0].path, (std::vector<std::string>{"1", "name"}));
+  EXPECT_EQ(t[0].Text(src), "$ans.1.name");
+  EXPECT_EQ(VariableName(t[0], src), "$ans");
+  EXPECT_EQ(t[1].kind, TokenKind::kEnd);
 }
 
 TEST(LexerTest, ClauseTerminatorDotIsSeparateFromPath) {
   // "q(B,C)." — the final dot must be a kDot token, not a path step.
-  std::vector<Token> t = MustLex("q(B,C).");
+  const std::string_view src = "q(B,C).";
+  std::vector<Token> t = MustLex(src);
   ASSERT_GE(t.size(), 8u);
   EXPECT_EQ(t[4].kind, TokenKind::kVariable);
-  EXPECT_TRUE(t[4].path.empty());
+  EXPECT_EQ(t[4].Text(src), "C");
   EXPECT_EQ(t[5].kind, TokenKind::kRParen);
   EXPECT_EQ(t[6].kind, TokenKind::kDot);
 }
 
 TEST(LexerTest, VariableDotFollowedByIdentIsPath) {
-  std::vector<Token> t = MustLex("P.name = A");
+  const std::string_view src = "P.name = A";
+  std::vector<Token> t = MustLex(src);
   EXPECT_EQ(t[0].kind, TokenKind::kVariable);
-  EXPECT_EQ(t[0].path, (std::vector<std::string>{"name"}));
+  EXPECT_EQ(t[0].Text(src), "P.name");
   EXPECT_EQ(t[1].kind, TokenKind::kEq);
 }
 
 TEST(LexerTest, IntAndDoubleLiterals) {
-  std::vector<Token> t = MustLex("42 -7 2.5 1e3 -1.5e-2");
+  const std::string_view src = "42 -7 2.5 1e3 -1.5e-2";
+  std::vector<Token> t = MustLex(src);
+  const std::pair<TokenKind, std::string_view> expected[] = {
+      {TokenKind::kInt, "42"},
+      {TokenKind::kInt, "-7"},
+      {TokenKind::kDouble, "2.5"},
+      {TokenKind::kDouble, "1e3"},
+      {TokenKind::kDouble, "-1.5e-2"}};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(t[i].kind, expected[i].first);
+    EXPECT_EQ(t[i].Text(src), expected[i].second);
+  }
+}
+
+TEST(LexerTest, OutOfRangeNumbersLexAsTheirSpelling) {
+  // Numbers are converted when the parser reads them (parser_test pins the
+  // positioned out-of-range errors); lexing never fails on magnitude.
+  const std::string_view src = "99999999999999999999 1e999 4e-400";
+  std::vector<Token> t = MustLex(src);
+  ASSERT_EQ(t.size(), 4u);
   EXPECT_EQ(t[0].kind, TokenKind::kInt);
-  EXPECT_EQ(t[0].int_value, 42);
-  EXPECT_EQ(t[1].kind, TokenKind::kInt);
-  EXPECT_EQ(t[1].int_value, -7);
+  EXPECT_EQ(t[0].Text(src), "99999999999999999999");
+  EXPECT_EQ(t[1].kind, TokenKind::kDouble);
   EXPECT_EQ(t[2].kind, TokenKind::kDouble);
-  EXPECT_EQ(t[2].double_value, 2.5);
-  EXPECT_EQ(t[3].kind, TokenKind::kDouble);
-  EXPECT_EQ(t[3].double_value, 1000.0);
-  EXPECT_EQ(t[4].kind, TokenKind::kDouble);
-  EXPECT_DOUBLE_EQ(t[4].double_value, -0.015);
+  EXPECT_EQ(t[2].Text(src), "4e-400");
 }
 
 TEST(LexerTest, NumberFollowedByClauseDot) {
@@ -81,16 +104,19 @@ TEST(LexerTest, NumberFollowedByClauseDot) {
 }
 
 TEST(LexerTest, SingleAndDoubleQuotedStrings) {
-  std::vector<Token> t = MustLex("'h-22 fuel' \"rope\"");
+  const std::string_view src = "'h-22 fuel' \"rope\"";
+  std::vector<Token> t = MustLex(src);
   EXPECT_EQ(t[0].kind, TokenKind::kString);
-  EXPECT_EQ(t[0].text, "h-22 fuel");
+  EXPECT_EQ(StringValue(t[0], src), "h-22 fuel");
   EXPECT_EQ(t[1].kind, TokenKind::kString);
-  EXPECT_EQ(t[1].text, "rope");
+  EXPECT_EQ(StringValue(t[1], src), "rope");
 }
 
 TEST(LexerTest, StringEscapes) {
-  std::vector<Token> t = MustLex(R"('it\'s\n')");
-  EXPECT_EQ(t[0].text, "it's\n");
+  const std::string_view src = R"('it\'s\n')";
+  std::vector<Token> t = MustLex(src);
+  EXPECT_EQ(t[0].Text(src), src);
+  EXPECT_EQ(StringValue(t[0], src), "it's\n");
 }
 
 TEST(LexerTest, UnterminatedStringIsParseError) {
@@ -114,28 +140,44 @@ TEST(LexerTest, OperatorsAndPunctuation) {
 }
 
 TEST(LexerTest, CommentsAreSkipped) {
-  std::vector<Token> t = MustLex(
+  const std::string_view src =
       "% a comment line\n"
       "foo // trailing comment\n"
-      "bar");
+      "bar";
+  std::vector<Token> t = MustLex(src);
   ASSERT_EQ(t.size(), 3u);
-  EXPECT_EQ(t[0].text, "foo");
-  EXPECT_EQ(t[1].text, "bar");
+  EXPECT_EQ(t[0].Text(src), "foo");
+  EXPECT_EQ(t[1].Text(src), "bar");
 }
 
 TEST(LexerTest, TracksLineAndColumn) {
-  std::vector<Token> t = MustLex("a\n  b");
-  EXPECT_EQ(t[0].line, 1);
-  EXPECT_EQ(t[0].column, 1);
-  EXPECT_EQ(t[1].line, 2);
-  EXPECT_EQ(t[1].column, 3);
+  const std::string_view src = "a\n  b";
+  std::vector<Token> t = MustLex(src);
+  const SourcePosition a = PositionAt(src, t[0].offset);
+  const SourcePosition b = PositionAt(src, t[1].offset);
+  EXPECT_EQ(a.line, 1);
+  EXPECT_EQ(a.column, 1);
+  EXPECT_EQ(b.line, 2);
+  EXPECT_EQ(b.column, 3);
+}
+
+TEST(LexerTest, TokensAreTriviallyCopyableViews) {
+  static_assert(std::is_trivially_copyable_v<Token>);
+  const std::string_view src = "in(X, d:f('a b'))";
+  std::vector<Token> t = MustLex(src);
+  ASSERT_EQ(t.size(), 12u);
+  EXPECT_EQ(t[8].kind, TokenKind::kString);
+  EXPECT_EQ(t[8].offset, 10u);
+  EXPECT_EQ(t[8].length, 5u);
+  EXPECT_EQ(t[11].kind, TokenKind::kEnd);
+  EXPECT_EQ(t[11].offset, src.size());
 }
 
 TEST(LexerTest, UnexpectedCharacterReportsPosition) {
   Lexer lexer("foo @");
   Status s = lexer.Tokenize().status();
   ASSERT_TRUE(s.IsParseError());
-  EXPECT_NE(s.message().find("line 1"), std::string::npos);
+  EXPECT_EQ(s.message(), "unexpected character '@' at line 1, column 6");
 }
 
 TEST(LexerTest, LoneDollarIsError) {
