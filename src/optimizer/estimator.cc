@@ -177,7 +177,7 @@ struct RuleCostEstimator::PlanWalk::State {
   std::vector<std::vector<Adornment>> adornments;
   std::vector<const Value*> keys;
   std::vector<Slot> slots;
-  const std::vector<const std::vector<uint32_t>*>* rule_orders = nullptr;
+  std::span<const Ordering> rule_orders;
   lang::DomainCallSpec pattern;  ///< Scratch for adornment misses.
   Failure failure;               ///< Set when a walk step returns false.
 
@@ -310,9 +310,8 @@ struct RuleCostEstimator::PlanWalk::State {
 
   /// Cost of body `body_id` walked in `order` over the frame at `base`;
   /// false (and `failure` set) when the ordering is infeasible.
-  bool EstimateBody(uint32_t body_id, const std::vector<uint32_t>* order,
-                    size_t base, size_t depth, double* estimation_ms,
-                    CostVector* cost);
+  bool EstimateBody(uint32_t body_id, Ordering order, size_t base,
+                    size_t depth, double* estimation_ms, CostVector* cost);
   bool EstimatePredicate(const Atom& a, size_t base, size_t depth,
                          double* estimation_ms, CostVector* cost);
 };
@@ -364,8 +363,7 @@ bool RuleCostEstimator::PlanWalk::State::EstimatePredicate(
       continue;
     }
 
-    const std::vector<uint32_t>* order =
-        rule_orders->empty() ? nullptr : (*rule_orders)[r];
+    const Ordering order = rule_orders.empty() ? Ordering() : rule_orders[r];
     CostVector body;
     const bool ok =
         EstimateBody(body_id, order, local, depth + 1, estimation_ms, &body);
@@ -431,8 +429,8 @@ bool RuleCostEstimator::PlanWalk::State::EstimatePredicate(
 }
 
 bool RuleCostEstimator::PlanWalk::State::EstimateBody(
-    uint32_t body_id, const std::vector<uint32_t>* order, size_t base,
-    size_t depth, double* estimation_ms, CostVector* cost) {
+    uint32_t body_id, Ordering order, size_t base, size_t depth,
+    double* estimation_ms, CostVector* cost) {
   const EstimatorParams& params = estimator->params_;
   const Body body = bodies[body_id];
   double t_first = 0.0;
@@ -441,8 +439,7 @@ bool RuleCostEstimator::PlanWalk::State::EstimateBody(
   double prefix_card = 1.0;  // Π_{j<i} Card_j
 
   for (uint32_t k = 0; k < body.num_atoms; ++k) {
-    const Atom& a =
-        atoms[body.first_atom + (order != nullptr ? (*order)[k] : k)];
+    const Atom& a = atoms[body.first_atom + (order.empty() ? k : order[k])];
     const lang::Atom& goal = *a.src;
     CostVector goal_cost;
     double selectivity = 1.0;
@@ -534,16 +531,15 @@ bool RuleCostEstimator::PlanWalk::State::EstimateBody(
   return true;
 }
 
-RuleCostEstimator::PlanWalk::PlanWalk(const RuleCostEstimator& estimator,
-                                      const std::vector<lang::Atom>& goals,
-                                      const std::vector<lang::Rule>& rules,
-                                      CostMemo* memo)
+RuleCostEstimator::PlanWalk::PlanWalk(
+    const RuleCostEstimator& estimator, const std::vector<lang::Atom>& goals,
+    std::span<const lang::Rule* const> rules, CostMemo* memo)
     : state_(std::make_unique<State>()) {
   State& s = *state_;
   s.estimator = &estimator;
   s.memo = memo;
   for (size_t r = 0; r < rules.size(); ++r) {
-    const lang::Atom& head = rules[r].head;
+    const lang::Atom& head = rules[r]->head;
     uint32_t p = s.PredicateOf(head.predicate, head.args.size());
     if (p == kNone) {
       p = static_cast<uint32_t>(s.predicates.size());
@@ -555,13 +551,13 @@ RuleCostEstimator::PlanWalk::PlanWalk(const RuleCostEstimator& estimator,
   VarNames query_vars;
   s.CompileBody(goals, &query_vars);
   s.head_terms.reserve(rules.size());
-  for (const lang::Rule& rule : rules) {
+  for (const lang::Rule* rule : rules) {
     VarNames vars;
     s.head_terms.push_back(static_cast<uint32_t>(s.terms.size()));
-    for (const lang::Term& arg : rule.head.args) {
+    for (const lang::Term& arg : rule->head.args) {
       s.terms.push_back(s.CompileTerm(arg, &vars));
     }
-    s.CompileBody(rule.body, &vars);
+    s.CompileBody(rule->body, &vars);
   }
 }
 
@@ -569,11 +565,10 @@ RuleCostEstimator::PlanWalk::PlanWalk(PlanWalk&&) noexcept = default;
 RuleCostEstimator::PlanWalk::~PlanWalk() = default;
 
 std::optional<RuleCostEstimator::Estimate>
-RuleCostEstimator::PlanWalk::TryCost(
-    const std::vector<uint32_t>* goal_order,
-    const std::vector<const std::vector<uint32_t>*>& rule_orders) {
+RuleCostEstimator::PlanWalk::TryCost(Ordering goal_order,
+                                     std::span<const Ordering> rule_orders) {
   State& s = *state_;
-  s.rule_orders = &rule_orders;
+  s.rule_orders = rule_orders;
   s.slots.assign(s.bodies[0].num_vars, Slot{});
   Estimate estimate;
   if (!s.EstimateBody(0, goal_order, 0, 0, &estimate.estimation_ms,
@@ -584,8 +579,7 @@ RuleCostEstimator::PlanWalk::TryCost(
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::PlanWalk::Cost(
-    const std::vector<uint32_t>* goal_order,
-    const std::vector<const std::vector<uint32_t>*>& rule_orders) {
+    Ordering goal_order, std::span<const Ordering> rule_orders) {
   std::optional<Estimate> estimate = TryCost(goal_order, rule_orders);
   if (!estimate) return state_->failure.ToStatus();
   return *estimate;
@@ -595,9 +589,11 @@ Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimateBody(
     const lang::Program& program, const std::vector<lang::Atom>& goals,
     CostMemo* memo) const {
   CostMemo call_memo;
-  return PlanWalk(*this, goals, program.rules,
-                  memo != nullptr ? memo : &call_memo)
-      .Cost(nullptr, {});
+  std::vector<const lang::Rule*> rules;
+  rules.reserve(program.rules.size());
+  for (const lang::Rule& rule : program.rules) rules.push_back(&rule);
+  return PlanWalk(*this, goals, rules, memo != nullptr ? memo : &call_memo)
+      .Cost({}, {});
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimatePlan(

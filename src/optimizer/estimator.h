@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,26 +95,26 @@ class RuleCostEstimator {
   /// `memo` must outlive the walk.
   class PlanWalk {
    public:
+    using Ordering = std::span<const uint32_t>;
+
     PlanWalk(const RuleCostEstimator& estimator,
              const std::vector<lang::Atom>& goals,
-             const std::vector<lang::Rule>& rules, CostMemo* memo);
+             std::span<const lang::Rule* const> rules, CostMemo* memo);
     PlanWalk(PlanWalk&&) noexcept;
     ~PlanWalk();
 
     /// Estimate of the plan whose goals run in `goal_order` and whose rule
-    /// `r` body runs in `rule_orders[r]` (null, or an empty `rule_orders`:
-    /// as written). InvalidArgument when the ordering is infeasible for
-    /// the query's adornment (e.g. a domain-call argument can be free at
-    /// execution time).
-    Result<Estimate> Cost(
-        const std::vector<uint32_t>* goal_order,
-        const std::vector<const std::vector<uint32_t>*>& rule_orders);
+    /// `r` body runs in `rule_orders[r]` (an empty ordering, or an empty
+    /// `rule_orders`: as written). InvalidArgument when the ordering is
+    /// infeasible for the query's adornment (e.g. a domain-call argument
+    /// can be free at execution time).
+    Result<Estimate> Cost(Ordering goal_order,
+                          std::span<const Ordering> rule_orders);
     /// Cost without the reason for a failure: nullopt when Cost would
     /// return an error. The optimizer only needs to know that a candidate
     /// is infeasible, and building the message is most of that case's work.
-    std::optional<Estimate> TryCost(
-        const std::vector<uint32_t>* goal_order,
-        const std::vector<const std::vector<uint32_t>*>& rule_orders);
+    std::optional<Estimate> TryCost(Ordering goal_order,
+                                    std::span<const Ordering> rule_orders);
 
    private:
     struct State;

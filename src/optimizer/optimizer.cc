@@ -18,18 +18,17 @@ Result<OptimizerResult> QueryOptimizer::Optimize(
   // once, on its first candidate.
   CostMemo memo;
   std::vector<std::optional<RuleCostEstimator::PlanWalk>> walks(
-      space.variants().size());
-  std::vector<const PlanSpace::Ordering*> rule_orders;
+      space.num_variants());
+  std::vector<PlanSpace::Ordering> rule_orders;
   result.candidates.resize(space.size());
   for (size_t i = 0; i < space.size(); ++i) {
     const size_t v = space.VariantOf(i);
     if (!walks[v]) {
-      walks[v].emplace(estimator_, space.variants()[v].goals,
-                       space.variants()[v].rules, &memo);
+      walks[v].emplace(estimator_, space.Goals(v), space.Rules(v), &memo);
     }
     space.RuleOrderings(i, &rule_orders);
     std::optional<RuleCostEstimator::Estimate> est =
-        walks[v]->TryCost(&space.GoalOrdering(i), rule_orders);
+        walks[v]->TryCost(space.GoalOrdering(i), rule_orders);
     CandidateSummary& summary = result.candidates[i];
     summary.description = space.Description(i);
     if (est) {
@@ -58,8 +57,8 @@ Result<OptimizerResult> QueryOptimizer::Optimize(
     if (ka < kb - tie_band) {
       best_index = static_cast<int>(i);
     } else if (ka <= kb + tie_band &&
-               space.variants()[space.VariantOf(i)].cim_calls >
-                   space.variants()[space.VariantOf(best_index)].cim_calls) {
+               space.CimCalls(space.VariantOf(i)) >
+                   space.CimCalls(space.VariantOf(best_index))) {
       best_index = static_cast<int>(i);
     }
   }

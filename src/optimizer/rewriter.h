@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,62 +17,105 @@ namespace hermes::optimizer {
 /// ordering indexes instead of as materialized programs.
 ///
 /// A variant is one combination of selection push-down and CIM redirection
-/// applied to the query goals and the rules reachable from them; it holds
-/// those rules once. Candidate `i` picks a variant, one executable ordering
-/// of its goals and one of each reorderable rule body, in the order the
-/// rewriter enumerates them. The cost estimator walks a candidate through
-/// these indexes; only the plan that is kept needs `Materialize`.
+/// applied to the query goals and the rules reachable from them. The space
+/// holds one copy of those goals and rules; a variant holds only the goal
+/// list and the rules its transformations changed, and reads the rest from
+/// that copy. Candidate `i` picks a variant, one executable ordering of its
+/// goals and one of each reorderable rule body, in the order the rewriter
+/// enumerates them. Every body's orderings lie in one buffer, a body's
+/// length apart. The cost estimator walks a candidate through these
+/// orderings; only the plan that is kept needs `Materialize`.
+///
+/// A space is move-only: its variants point into its own storage.
 class PlanSpace {
  public:
-  using Ordering = std::vector<uint32_t>;
+  using Ordering = std::span<const uint32_t>;
 
-  struct Variant {
-    std::vector<lang::Atom> goals;
-    std::vector<lang::Rule> rules;
-    std::string description;  ///< "direct", "pushdown", with "+cim".
-    /// Domain calls routed to a CIM wrapper (`cim_*`): the optimizer's
-    /// tie-break, the same for every ordering of the variant.
-    size_t cim_calls = 0;
-  };
+  PlanSpace() = default;
+  PlanSpace(PlanSpace&&) = default;
+  PlanSpace& operator=(PlanSpace&&) = default;
+  PlanSpace(const PlanSpace&) = delete;
+  PlanSpace& operator=(const PlanSpace&) = delete;
 
   size_t size() const { return candidates_.size(); }
-  const std::vector<Variant>& variants() const { return variants_; }
+  size_t num_variants() const { return variants_.size(); }
+  /// Variant `v`'s query goals, as written.
+  const std::vector<lang::Atom>& Goals(size_t v) const {
+    return variants_[v].own_goals ? variants_[v].goals : goals_;
+  }
+  /// Variant `v`'s reachable rules, in program order, as written.
+  std::span<const lang::Rule* const> Rules(size_t v) const {
+    return variants_[v].rules;
+  }
+  /// Domain calls of variant `v` routed to a CIM wrapper (`cim_*`): the
+  /// optimizer's tie-break, the same for every ordering of the variant.
+  size_t CimCalls(size_t v) const { return variants_[v].cim_calls; }
   /// The variant candidate `i` is drawn from.
   size_t VariantOf(size_t i) const { return candidates_[i].variant; }
   /// Candidate `i`'s description: its variant's, numbered (" #i").
   std::string Description(size_t i) const;
   /// Candidate `i`'s goal ordering, and its body ordering of every rule of
-  /// its variant (null: the body as written), written to `rule_orders`.
-  const Ordering& GoalOrdering(size_t i) const;
-  void RuleOrderings(size_t i,
-                     std::vector<const Ordering*>* rule_orders) const;
+  /// its variant (empty: the body as written), written to `rule_orders`.
+  Ordering GoalOrdering(size_t i) const;
+  void RuleOrderings(size_t i, std::vector<Ordering>* rule_orders) const;
   /// Builds candidate `i` as a program: goals and rule bodies permuted.
   CandidatePlan Materialize(size_t i) const;
 
  private:
   friend class RuleRewriter;
+  struct Variant {
+    std::string description;  ///< "direct", "pushdown", with "+cim".
+    size_t cim_calls = 0;
+    /// The goals, when a transformation changed them (else the space's).
+    bool own_goals = false;
+    std::vector<lang::Atom> goals;
+    /// The rules a transformation changed.
+    std::vector<lang::Rule> changed_rules;
+    /// Every reachable rule: one of the space's or of changed_rules.
+    std::vector<const lang::Rule*> rules;
+    /// Its entry in orderings_: a CIM variant shares the entry of its
+    /// uncached twin when the two order alike.
+    uint32_t orderings = 0;
+  };
+  /// `count` orderings of a body of `stride` atoms, consecutive in
+  /// order_buffer_ from `offset`.
+  struct BodyOrderings {
+    uint32_t offset = 0;
+    uint32_t count = 0;
+    uint32_t stride = 0;
+  };
   /// The executable orderings of a variant's goals, and of each rule body
   /// that has more than one.
   struct Orderings {
-    std::vector<Ordering> goals;
-    std::vector<size_t> reorderable_rules;
-    std::vector<std::vector<Ordering>> rules;  ///< Per reorderable rule.
+    BodyOrderings goals;
+    struct Rule {
+      uint32_t rule = 0;  ///< Index among the variant's rules.
+      BodyOrderings orderings;
+    };
+    std::vector<Rule> rules;  ///< The reorderable rules, in rule order.
   };
   struct Candidate {
     uint32_t variant = 0;
     uint32_t goal_ordering = 0;
     uint32_t rule_choice = 0;  ///< Offset of its picks in rule_choices_.
   };
-  const Orderings& OrderingsOf(const Candidate& c) const {
-    return orderings_[variant_orderings_[c.variant]];
+  Ordering OrderingAt(const BodyOrderings& body, size_t k) const {
+    return Ordering(order_buffer_.data() + body.offset + k * body.stride,
+                    body.stride);
   }
+  const Orderings& OrderingsOf(const Candidate& c) const {
+    return orderings_[variants_[c.variant].orderings];
+  }
+
+  /// The query goals and the reachable rules, as the query and program
+  /// have them; variants read what they do not change from here.
+  std::vector<lang::Atom> goals_;
+  std::vector<lang::Rule> rules_;
   std::vector<Variant> variants_;
-  /// Per variant, its entry in orderings_: a CIM variant shares the entry
-  /// of its uncached twin when the two order alike.
-  std::vector<uint32_t> variant_orderings_;
   std::vector<Orderings> orderings_;
+  std::vector<uint32_t> order_buffer_;
   std::vector<Candidate> candidates_;
-  /// Per candidate, one Orderings::rules index per reorderable rule.
+  /// Per candidate, one ordering index per reorderable rule.
   std::vector<uint32_t> rule_choices_;
 };
 
@@ -139,8 +183,9 @@ class RuleRewriter {
       const std::vector<std::string>& initially_bound, size_t max_orderings);
 
  private:
-  /// The executable orderings of `variant`'s goals and rule bodies.
-  static PlanSpace::Orderings SearchOrderings(const PlanSpace::Variant& variant,
+  /// Appends the executable orderings of variant `v`'s goals and rule
+  /// bodies to `space`'s ordering buffer and returns where they lie.
+  static PlanSpace::Orderings SearchOrderings(PlanSpace* space, size_t v,
                                               const Options& options);
 };
 

@@ -252,6 +252,44 @@ TEST(RewriteTest, PlansCarryOnlyReachableRules) {
             "m(A) :- n(A).\nn(A) :- in(A, d:g(1)).\n");
 }
 
+TEST(RewriteTest, VariantsShareTheRulesTheyDoNotChange) {
+  // Redirection changes only m's rule and the goals that reach the cached
+  // domain; n's rule and (for push-down, which finds nothing) every body
+  // are read from the space's one copy.
+  lang::Program program = MustProgram(R"(
+    m(A) :- in(A, video:f(1)) & n(A).
+    n(A) :- in(A, d:g(1)).
+  )");
+  lang::Query query = MustQuery("?- m(A) & in(B, video:h(2)).");
+  RuleRewriter::Options options;
+  options.cim_domains = {"video"};
+  Result<PlanSpace> plans = RuleRewriter::Rewrite(program, query, options);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_EQ(plans->num_variants(), 2u);  // direct, direct+cim
+  EXPECT_EQ(plans->CimCalls(0), 0u);
+  EXPECT_EQ(plans->CimCalls(1), 2u);
+  EXPECT_NE(&plans->Goals(0), &plans->Goals(1));
+  EXPECT_EQ(plans->Goals(1)[1].call.domain, "cim_video");
+  EXPECT_NE(plans->Rules(0)[0], plans->Rules(1)[0]);
+  EXPECT_EQ(plans->Rules(0)[1], plans->Rules(1)[1]);
+  EXPECT_EQ(plans->Rules(1)[0]->body[0].call.domain, "cim_video");
+  EXPECT_EQ(plans->Rules(0)[0]->body[0].call.domain, "video");
+
+  // The space owns what its variants read: it outlives the program and
+  // query it was built from, and moving it keeps every variant intact.
+  PlanSpace moved = std::move(*plans);
+  program = lang::Program{};
+  query = lang::Query{};
+  // The CIM variant's first candidate: every body in its written order.
+  size_t first_cim = 0;
+  while (moved.VariantOf(first_cim) != 1) ++first_cim;
+  const CandidatePlan cim = moved.Materialize(first_cim);
+  EXPECT_EQ(cim.query.ToString(), "?- m(A) & in(B, cim_video:h(2)).");
+  EXPECT_EQ(cim.program.ToString(),
+            "m(A) :- in(A, cim_video:f(1)) & n(A).\n"
+            "n(A) :- in(A, d:g(1)).\n");
+}
+
 TEST(RewriteTest, CimOnlySuppressesDirectPlans) {
   lang::Program program = MustProgram("m(A) :- in(A, video:f(1)).");
   lang::Query query = MustQuery("?- m(A).");
