@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "engine/mediator.h"
 #include "lang/parser.h"
+#include "optimizer/rewriter.h"
 #include "testbed/scenario.h"
 #include "testbed/topology.h"
 
@@ -58,6 +59,37 @@ void BM_ParseQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseQuery);
+
+// The fanout-4 topology query text (four independent `work` goals), as
+// perfbench's fanout_miss issues it.
+std::string FanoutQueryText() {
+  testbed::TopologyInfo info;
+  for (int site = 0; site < 32; ++site) {
+    info.domains.push_back("s" + std::to_string(site));
+  }
+  return testbed::TopologyQuery(info, 96, 4);
+}
+
+void BM_ParseFanoutQuery(benchmark::State& state) {
+  const std::string text = FanoutQueryText();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lang::Parser::ParseQuery(text));
+  }
+}
+BENCHMARK(BM_ParseFanoutQuery);
+
+// Rewriting the fanout-4 query into its plan space: one variant, 24 goal
+// orderings.
+void BM_RewriteFanoutQuery(benchmark::State& state) {
+  const Result<lang::Query> query = lang::Parser::ParseQuery(FanoutQueryText());
+  const lang::Program program;
+  const optimizer::RuleRewriter::Options options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        optimizer::RuleRewriter::Rewrite(program, *query, options));
+  }
+}
+BENCHMARK(BM_RewriteFanoutQuery);
 
 void BM_PlanQuery(benchmark::State& state) {
   Mediator* med = SharedMediator();
