@@ -396,71 +396,6 @@ BENCHMARK(BM_ConcurrentQuery_FanoutMissMix)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// Plan-cache hit mix: one rebindable query shape over eight rotating frame
-// windows, against local sites with no pacing, so the measured cost is pure
-// host work. plan_cache:0 compiles every query from scratch; plan_cache:1
-// compiles once and serves every later query by rebinding a pooled
-// instance's constants — the delta is the per-query compilation cost the
-// cache deletes, and the thread sweep shows the sharded hit path does not
-// serialize the pool.
-
-std::string PlanCacheMixQuery(int window) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "?- in(Object, video:frames_to_objects('rope', 4, %d)) & "
-                "in(T, relation:equal('cast', role, Object)) & "
-                "=(Actor, T.name).",
-                40 + window % 8);
-  return buf;
-}
-
-QueryOptions PlanCacheMixOptions() {
-  QueryOptions q;
-  q.use_optimizer = false;
-  q.use_cim = false;
-  q.record_statistics = false;
-  return q;
-}
-
-Mediator* PlanCacheMixMediator(bool cached) {
-  auto make = [](bool on) {
-    auto* m = new Mediator();
-    testbed::RopeScenarioOptions options;
-    options.sites.video_site = net::LocalSite();
-    options.sites.relation_site = net::LocalSite();
-    options.add_frame_invariants = false;
-    (void)testbed::SetupRopeScenario(m, options);
-    if (on) (void)m->EnablePlanCache();
-    for (int i = 0; i < 8; ++i) {  // warm: insert + pool one instance
-      (void)m->Query(PlanCacheMixQuery(i), PlanCacheMixOptions());
-    }
-    return m;
-  };
-  static Mediator* raw_med = make(false);
-  static Mediator* cached_med = make(true);
-  return cached ? cached_med : raw_med;
-}
-
-void BM_ConcurrentQuery_PlanCacheHitMix(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  Mediator* med = PlanCacheMixMediator(cached);
-  const QueryOptions options = PlanCacheMixOptions();
-  int n = state.thread_index();
-  for (auto _ : state) {
-    Result<QueryResult> res = med->Query(PlanCacheMixQuery(n++), options);
-    if (!res.ok()) {
-      state.SkipWithError(res.status().message().c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(res);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConcurrentQuery_PlanCacheHitMix)
-    ->ArgNames({"plan_cache"})->Args({0})->Args({1})
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime()->Unit(benchmark::kMicrosecond);
-
 // Overload mix: fan-out queries over the generated 32-site topology with
 // hedged requests off and on. The contrast shows what the hedge
 // bookkeeping costs on the hot path and what hedging pays/saves end to end

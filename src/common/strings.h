@@ -1,7 +1,10 @@
 #ifndef HERMES_COMMON_STRINGS_H_
 #define HERMES_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace hermes {
@@ -21,6 +24,17 @@ std::string ToLower(const std::string& text);
 
 /// True when `text` begins with `prefix`.
 bool StartsWith(const std::string& text, const std::string& prefix);
+
+/// Converts all of `text` with std::from_chars (no leading whitespace or
+/// '+'). False, leaving `*out` unspecified, when `text` is not a number of
+/// that type, has trailing characters, or is out of the type's range.
+template <typename Number>
+bool ParseNumber(std::string_view text, Number* out) {
+  const char* last = text.data() + text.size();
+  const std::from_chars_result converted =
+      std::from_chars(text.data(), last, *out);
+  return converted.ec == std::errc() && converted.ptr == last;
+}
 
 }  // namespace hermes
 

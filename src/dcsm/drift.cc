@@ -71,11 +71,6 @@ void DriftTracker::BindMetrics(std::shared_ptr<obs::MetricsRegistry> registry) {
   }
 }
 
-void DriftTracker::set_exceeded_hook(ExceededHook hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  exceeded_hook_ = std::move(hook);
-}
-
 void DriftTracker::Observe(const lang::DomainCallSpec& pattern,
                            const std::string& adornment,
                            const CostVector& observed, double sim_ms,
@@ -169,13 +164,6 @@ void DriftTracker::Observe(const lang::DomainCallSpec& pattern,
   }
 
   if (newly_exceeded) {
-    ExceededHook hook;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      hook = exceeded_hook_;
-    }
-    // Outside mu_: the hook takes the plan cache's own locks.
-    if (hook != nullptr) hook(site, domain, adornment);
     if (exceeded_counter_ != nullptr) exceeded_counter_->Add(1);
     if (recorder != nullptr) {
       // Tagged query_id 0: drift is a cross-query signal, and keeping it

@@ -2,7 +2,6 @@
 #define HERMES_DCSM_DRIFT_H_
 
 #include <array>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,8 +45,7 @@ struct DriftEntry {
   std::string ToString() const;
 };
 
-/// Point-in-time view of every tracked group — the hook ROADMAP item 2's
-/// plan-cache invalidation consumes ("this plan's estimates went stale").
+/// Point-in-time view of every tracked group.
 struct DriftReport {
   std::vector<DriftEntry> entries;
 
@@ -76,14 +74,6 @@ class DriftTracker {
   /// Registers `hermes_dcsm_drift{dim,site,domain,adorn}` gauges lazily as
   /// groups appear, plus `hermes_dcsm_drift_exceeded_total`.
   void BindMetrics(std::shared_ptr<obs::MetricsRegistry> registry);
-
-  /// Called (outside the tracker's lock — it may take its own) each time a
-  /// (site, domain, adornment) group newly crosses the threshold. The plan
-  /// cache hangs its invalidation here.
-  using ExceededHook = std::function<void(
-      const std::string& site, const std::string& domain,
-      const std::string& adornment)>;
-  void set_exceeded_hook(ExceededHook hook);
 
   /// Feeds one successful call: `pattern` is the DCSM estimation pattern
   /// (constants kept, runtime-bound variables as `$b`), `adornment` its
@@ -128,7 +118,6 @@ class DriftTracker {
 
   std::shared_ptr<obs::MetricsRegistry> registry_;
   std::shared_ptr<obs::Counter> exceeded_counter_;
-  ExceededHook exceeded_hook_;
 };
 
 }  // namespace hermes::dcsm

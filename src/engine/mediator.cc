@@ -83,7 +83,6 @@ Status Mediator::RegisterDomain(const std::string& name,
                                 std::shared_ptr<Domain> domain) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("RegisterDomain"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_RETURN_IF_ERROR(registry_.Register(name, std::move(domain)));
   IndexExports(name);
   return Status::OK();
@@ -94,7 +93,6 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
                                       net::SiteParams site) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("RegisterRemoteDomain"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   // Declarative stack: [resilience → network] over the source domain. The
   // resilience layer is always present (so its metric families exist and
   // policies can be changed later); its default policy is pass-through.
@@ -146,39 +144,7 @@ Status Mediator::EnableDiagnostics(const DiagnosticsOptions& options) {
   }
   diag_ = std::make_unique<DiagnosticsCenter>(options, recorder_.get(), &dcsm_,
                                               drift_.get(), metrics_);
-  WireDriftInvalidation();
   return Status::OK();
-}
-
-Status Mediator::EnablePlanCache(optimizer::PlanCacheOptions options) {
-  std::unique_lock lock(wiring_mu_);
-  HERMES_RETURN_IF_ERROR(CheckNotServing("EnablePlanCache"));
-  engine::op::CompileOptions compile_options;
-  compile_options.async_scatter_gather = async_execution_;
-  plan_cache_async_ = async_execution_;
-  plan_cache_ = std::make_unique<optimizer::PlanCache>(options, &dcsm_,
-                                                       compile_options);
-  plan_cache_->BindMetrics(*metrics_);
-  WireDriftInvalidation();
-  return Status::OK();
-}
-
-void Mediator::WireDriftInvalidation() {
-  if (drift_ == nullptr || plan_cache_ == nullptr) return;
-  optimizer::PlanCache* cache = plan_cache_.get();
-  drift_->set_exceeded_hook([cache](const std::string& site,
-                                    const std::string& domain,
-                                    const std::string& adorn) {
-    cache->InvalidateDrift(site, domain, adorn);
-  });
-}
-
-std::string Mediator::PlanCacheOptionsTag(const QueryOptions& options) {
-  std::string tag = options.use_optimizer ? "opt" : "raw";
-  if (options.use_cim) tag += "+cim";
-  if (options.cim_only) tag += "+cimonly";
-  if (options.goal == optimizer::OptimizationGoal::kFirstAnswer) tag += "+tf";
-  return tag;
 }
 
 std::string Mediator::SiteOf(const std::string& domain) const {
@@ -186,31 +152,6 @@ std::string Mediator::SiteOf(const std::string& domain) const {
       domain.rfind("cim_", 0) == 0 ? domain.substr(4) : domain;
   auto it = links_.find(logical);
   return it == links_.end() ? "" : it->second->site().name;
-}
-
-std::vector<optimizer::PlanCacheDep> Mediator::CollectPlanDeps(
-    const optimizer::CandidatePlan& plan) const {
-  std::vector<optimizer::PlanCacheDep> deps;
-  auto add = [this, &deps](const lang::Atom& goal) {
-    if (!goal.is_domain_call()) return;
-    std::string logical = goal.call.domain.rfind("cim_", 0) == 0
-                              ? goal.call.domain.substr(4)
-                              : goal.call.domain;
-    for (const optimizer::PlanCacheDep& d : deps) {
-      if (d.domain == logical) return;
-    }
-    optimizer::PlanCacheDep dep;
-    dep.site = SiteOf(logical);
-    dep.domain = logical;
-    // Adornment left as wildcard: a drift exceedance on any shape of the
-    // domain's calls invalidates the plan.
-    deps.push_back(std::move(dep));
-  };
-  for (const lang::Atom& goal : plan.query.goals) add(goal);
-  for (const lang::Rule& rule : plan.program.rules) {
-    for (const lang::Atom& goal : rule.body) add(goal);
-  }
-  return deps;
 }
 
 Status Mediator::DumpDiagnostics(const std::string& dir) {
@@ -309,7 +250,6 @@ Status Mediator::EnableCaching(const std::string& name,
                                size_t cache_max_bytes, size_t cache_shards) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("EnableCaching"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_ASSIGN_OR_RETURN(std::shared_ptr<Domain> inner, registry_.Get(name));
   std::string cim_name = "cim_" + name;
   auto cim_domain = std::make_shared<cim::CimDomain>(
@@ -340,7 +280,6 @@ Status Mediator::EnableCaching(const std::string& name,
 Status Mediator::AddInvariants(const std::string& text) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("AddInvariants"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_ASSIGN_OR_RETURN(std::vector<lang::Invariant> invariants,
                           lang::Parser::ParseInvariants(text));
   for (lang::Invariant& inv : invariants) {
@@ -358,7 +297,6 @@ Status Mediator::AddInvariants(const std::string& text) {
 Status Mediator::UseNativeCostModel(const std::string& name) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("UseNativeCostModel"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_ASSIGN_OR_RETURN(std::shared_ptr<Domain> domain, registry_.Get(name));
   return dcsm_.RegisterNativeModel(name, std::move(domain));
 }
@@ -366,7 +304,6 @@ Status Mediator::UseNativeCostModel(const std::string& name) {
 Status Mediator::LoadProgram(const std::string& text) {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("LoadProgram"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_ASSIGN_OR_RETURN(lang::Program parsed,
                           lang::Parser::ParseProgram(text));
   for (lang::Rule& rule : parsed.rules) {
@@ -383,7 +320,6 @@ Status Mediator::LoadProgramFile(const std::string& path) {
 Status Mediator::ClearProgram() {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("ClearProgram"));
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   program_.rules.clear();
   return Status::OK();
 }
@@ -552,62 +488,29 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     tracer->AddArg(root_span, "text", query_text);
   }
 
-  // Plan acquisition. With the plan cache on, a repeat query shape reuses
-  // a pooled compiled instance — constants rebound in place, optimizer and
-  // compiler skipped entirely; a miss runs the historical pick-and-lower
-  // path and registers its skeleton. The lease (and with it the instance's
-  // operator tree) stays checked out until the query — including EXPLAIN
-  // and diagnostics capture — is done with the tree.
+  // Plan acquisition: every query is costed against the DCSM with its own
+  // constants, and the winner is lowered to its physical operator tree.
+  // Execution drives the tree, and the same compiled artifact renders
+  // EXPLAIN afterwards.
+  HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan plan,
+                          PickPlan(query, options, tracer, &result));
   engine::op::CompileOptions compile_options;
   compile_options.async_scatter_gather =
       options.async_scatter_gather || async_execution_;
   compile_options.record_spine = replan_options_.enabled;
-  const bool cacheable =
-      plan_cache_ != nullptr &&
-      compile_options.async_scatter_gather == plan_cache_async_;
-  optimizer::PlanCacheKey cache_key;
-  std::vector<Value> cache_constants;
-  optimizer::PlanCache::Lease lease;
-  optimizer::CompiledPlan compiled_local;
-  optimizer::CompiledPlan* compiled = nullptr;
-  if (cacheable) {
-    cache_key = optimizer::PlanCache::MakeKey(
-        query, PlanCacheOptionsTag(options), &cache_constants);
-    lease = plan_cache_->Acquire(cache_key, cache_constants);
-    if (lease) {
-      compiled = lease.plan();
-      result.plan_cache_hit = true;
-      result.plan_description = compiled->plan().description;
-      result.predicted = compiled->plan().estimated;
-      result.predicted_valid = compiled->plan().estimatable;
-    }
-  }
-  if (compiled == nullptr) {
-    HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan plan,
-                            PickPlan(query, options, tracer, &result));
-    // Lower the chosen plan to its physical operator tree; execution
-    // drives the tree, and the same compiled artifact renders EXPLAIN
-    // afterwards.
-    optimizer::PlanCompiler compiler(&dcsm_, compile_options);
-    compiled_local = compiler.Compile(std::move(plan));
-    compiled = &compiled_local;
-    if (cacheable) {
-      plan_cache_->Insert(cache_key, cache_constants, compiled->plan(),
-                          result.predicted, result.predicted_valid,
-                          CollectPlanDeps(compiled->plan()));
-    }
-  }
+  optimizer::PlanCompiler compiler(&dcsm_, compile_options);
+  optimizer::CompiledPlan compiled = compiler.Compile(std::move(plan));
 
   // Mid-query re-optimization: arm a per-query manager over the tree's
   // join spine. Its divergence baseline is snapshotted now — never read
   // from the live DCSM mid-flight — so decisions depend only on per-query
   // state and replay identically under any thread count.
   std::unique_ptr<engine::op::ReplanManager> replan;
-  if (replan_options_.enabled && !compiled->tree().spine.empty()) {
+  if (replan_options_.enabled && !compiled.tree().spine.empty()) {
     engine::op::ReplanManager::Setup setup;
-    setup.program = &compiled->plan().program;
-    setup.goals = &compiled->plan().query.goals;
-    setup.spine = compiled->tree().spine;
+    setup.program = &compiled.plan().program;
+    setup.goals = &compiled.plan().query.goals;
+    setup.spine = compiled.tree().spine;
     setup.compile_options = compile_options;
     setup.site_of = [this](const std::string& domain) {
       return SiteOf(domain);
@@ -615,7 +518,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     setup.cim_domains = cached_domains_;
     if (replan_options_.divergence_factor > 0.0) {
       setup.estimates = engine::op::SnapshotGoalEstimates(
-          &dcsm_, compiled->plan().query.goals);
+          &dcsm_, compiled.plan().query.goals);
     }
     setup.options = replan_options_;
     replan = std::make_unique<engine::op::ReplanManager>(std::move(setup));
@@ -652,14 +555,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     ev.set_detail(result.plan_description);
     ctx.recorder->Emit(ev);
   }
-  if (ctx.recorder != nullptr && cacheable) {
-    obs::FlightEvent ev = obs::FlightEvent::Make(
-        result.plan_cache_hit ? obs::FlightEventKind::kPlanCacheHit
-                              : obs::FlightEventKind::kPlanCacheMiss,
-        ctx.query_id, ctx.recorder_seq++, /*sim_ms=*/0.0);
-    ev.set_detail(result.plan_description);
-    ctx.recorder->Emit(ev);
-  }
 
   // Per-query network randomness: the stream is a function of (base seed,
   // query id) only, so this query's simulated latencies replay identically
@@ -671,14 +566,11 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   }
 
   Result<engine::QueryExecution> executed = executor.ExecuteCompiled(
-      compiled->plan().program, compiled->tree(), &ctx, replan.get());
+      compiled.plan().program, compiled.tree(), &ctx, replan.get());
   if (replan != nullptr && replan->replanned()) {
     result.replan_events = replan->events();
     replan_triggers_total_->Add(replan->triggers());
     replan_splices_total_->Add(replan->splices());
-    // A replanned tree no longer matches its cached skeleton; the release
-    // below drops it instead of pooling it.
-    if (lease) lease.MarkDirty();
   }
   if (!executed.ok()) {
     query_failures_total_->Add(1);
@@ -701,7 +593,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       ev.set_detail("failed");
       ctx.recorder->Emit(ev);
     }
-    if (lease) plan_cache_->Release(std::move(lease));
     return executed.status();
   }
   result.execution = std::move(executed).value();
@@ -723,7 +614,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     result.completeness = QueryCompleteness::kPartial;
   }
   if (options.explain) {
-    result.explain_text = compiled->Explain(/*actuals=*/true);
+    result.explain_text = compiled.Explain(/*actuals=*/true);
     for (const engine::op::ReplanEvent& ev : result.replan_events) {
       result.explain_text += ev.ToString();
     }
@@ -773,22 +664,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       break;
     }
   }
-  if (plan_cache_ != nullptr && breaker_tripped) {
-    // Plans routing through a site whose breaker opened would re-trip it;
-    // drop them so the next miss plans around the outage.
-    for (const auto& [site, breaker] : ctx.breaker_states) {
-      if (breaker.state != CallContext::BreakerState::kOpen) continue;
-      plan_cache_->InvalidateSite(site);
-      if (ctx.recorder != nullptr) {
-        obs::FlightEvent ev = obs::FlightEvent::Make(
-            obs::FlightEventKind::kPlanCacheInvalidate, ctx.query_id,
-            ctx.recorder_seq++, result.execution.t_all_ms);
-        ev.set_site(site);
-        ev.set_detail("breaker_open");
-        ctx.recorder->Emit(ev);
-      }
-    }
-  }
   if (ctx.recorder != nullptr) {
     obs::FlightEvent ev =
         obs::FlightEvent::Make(obs::FlightEventKind::kQueryEnd, ctx.query_id,
@@ -810,12 +685,11 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     for (const engine::op::ReplanEvent& ev : result.replan_events) {
       capture.replan_text += ev.ToString();
     }
-    capture.explain_fn = [compiled] { return compiled->Explain(true); };
+    capture.explain_fn = [&compiled] { return compiled.Explain(true); };
     capture.tracer = tracer;
-    capture.root = compiled->tree().root.get();
+    capture.root = compiled.tree().root.get();
     diag_->MaybeCapture(capture);
   }
-  if (lease) plan_cache_->Release(std::move(lease));
 
   if (pacing_scale_ > 0.0) {
     // Realize the simulated service time as wall-clock wait (scaled), so

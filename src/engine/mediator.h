@@ -24,7 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/plan_cache.h"
+#include "optimizer/plan_compiler.h"
 
 namespace hermes {
 
@@ -127,8 +127,8 @@ struct QueryResult {
   /// masked with cached answers (degraded); lost_sources names them.
   QueryCompleteness completeness = QueryCompleteness::kComplete;
   std::vector<SourceError> lost_sources;
-  /// The query reused a cached plan skeleton (EnablePlanCache); the
-  /// optimizer did not run and `candidates` is empty.
+  /// Always false: every query is planned afresh. Kept only because the
+  /// repository benchmark reads it for `optimizer.plan_cache_hit_frac`.
   bool plan_cache_hit = false;
   /// Mid-query re-optimizations this query performed (set_replan_options);
   /// each records the trigger and the before/after suffix.
@@ -272,20 +272,6 @@ class Mediator {
   DiagnosticsCenter* diagnostics() { return diag_.get(); }
 
   // ---- Adaptive execution -----------------------------------------------------
-
-  /// Turns on the adornment-keyed plan cache: queries that differ only in
-  /// constant values share one compiled skeleton, and repeat shapes skip
-  /// the optimizer and compiler entirely (see DESIGN.md "Adaptive
-  /// execution"). Wiring time; call after set_async_execution — the cache
-  /// compiles instances under the wiring-time execution flags, and a query
-  /// whose per-query flags differ bypasses it. Entries are invalidated on
-  /// DCSM drift exceedances (when diagnostics are enabled), on
-  /// breaker-open sites, and on any program/wiring mutation. Last call
-  /// wins.
-  Status EnablePlanCache(optimizer::PlanCacheOptions options = {});
-
-  /// Null until EnablePlanCache.
-  optimizer::PlanCache* plan_cache() { return plan_cache_.get(); }
 
   /// Default mid-query re-optimization knobs applied to every query: when
   /// `options.enabled`, each query's spine joins re-plan the unexecuted
@@ -431,20 +417,8 @@ class Mediator {
                                             obs::Tracer* tracer,
                                             QueryResult* result);
 
-  /// Hooks the drift tracker's exceedance callback to plan-cache
-  /// invalidation. Called whenever either side is (re)wired.
-  void WireDriftInvalidation();
-
-  /// Plan-cache key tag for the query-shaping options (optimizer, CIM
-  /// redirection, goal): two queries whose tags differ never share a plan.
-  static std::string PlanCacheOptionsTag(const QueryOptions& options);
-
   /// Site serving `domain` ("cim_x" resolves as "x"); "" for local/unknown.
   std::string SiteOf(const std::string& domain) const;
-
-  /// The (site, domain) pairs `plan` depends on, for cache invalidation.
-  std::vector<optimizer::PlanCacheDep> CollectPlanDeps(
-      const optimizer::CandidatePlan& plan) const;
 
   /// Per-query CallMetrics folded into process-level registry counters.
   /// Generated from the CallMetrics field-list macros, so a field added
@@ -500,11 +474,7 @@ class Mediator {
   optimizer::EstimatorParams estimator_params_;
   engine::ExecutorOptions executor_options_;
 
-  // Adaptive execution (EnablePlanCache / set_replan_options). The cache
-  // remembers the async flag its instances were compiled under; queries
-  // whose effective flag differs bypass it.
-  std::unique_ptr<optimizer::PlanCache> plan_cache_;
-  bool plan_cache_async_ = false;
+  // Mid-query re-optimization (set_replan_options).
   engine::op::ReplanOptions replan_options_;
 
   // Diagnostics (EnableDiagnostics). diag_ borrows recorder_ and drift_,

@@ -66,14 +66,6 @@ class DomainCallOp final : public PhysicalOp {
   /// argument, 'b' per variable argument.
   std::string RuntimeAdornment() const;
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    retries_seen_ = 0;
-    degraded_seen_ = 0;
-    lost_seen_ = 0;
-    coalesced_seen_ = 0;
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,

@@ -177,12 +177,6 @@ class PhysicalOp {
   void VisitTree(const std::function<void(PhysicalOp&, size_t)>& fn,
                  size_t depth = 0);
 
-  /// Resets execution counters across the whole subtree, returning a
-  /// cached plan instance to its never-executed state between queries.
-  /// Overrides recurse by hand (children() allocates a vector — this path
-  /// must stay allocation-free for the plan-cache hit path).
-  virtual void ResetStatsTree() { stats_ = OpStats{}; }
-
  protected:
   PhysicalOp() = default;
 

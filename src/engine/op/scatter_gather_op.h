@@ -30,11 +30,6 @@ class ScatterGatherOp final : public PhysicalOp {
   std::string label() const override;
   void Explain(ExplainPrinter& printer) override;
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    for (auto& call : calls_) call->ResetStatsTree();
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,

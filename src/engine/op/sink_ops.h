@@ -22,11 +22,6 @@ class ProjectOp final : public PhysicalOp {
   OpKind kind() const override { return OpKind::kProject; }
   std::string label() const override;
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    child_->ResetStatsTree();
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,
@@ -59,11 +54,6 @@ class AnswerSinkOp final : public PhysicalOp {
   bool has_first() const { return has_first_; }
   double t_first() const { return t_first_; }
   bool complete() const { return complete_; }
-
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    child_->ResetStatsTree();
-  }
 
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cstdint>
 
+#include "common/strings.h"
 #include "lang/lexer.h"
 
 namespace hermes::lang {
@@ -113,12 +113,7 @@ RelOp Parser::RelOpFromToken(TokenKind kind) {
 template <typename Number>
 Status Parser::ConvertNumber(const Token& token, Number* out) const {
   const std::string_view text = Text(token);
-  const char* last = text.data() + text.size();
-  const std::from_chars_result converted =
-      std::from_chars(text.data(), last, *out);
-  if (converted.ec == std::errc() && converted.ptr == last) {
-    return Status::OK();
-  }
+  if (ParseNumber(text, out)) return Status::OK();
   return ErrorAt(token, std::string(token.kind == TokenKind::kInt
                                         ? "integer"
                                         : "double") +

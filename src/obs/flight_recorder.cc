@@ -62,9 +62,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kScatterFanout: return "scatter_fanout";
     case FlightEventKind::kArenaHighWater: return "arena_high_water";
     case FlightEventKind::kDriftExceeded: return "drift_exceeded";
-    case FlightEventKind::kPlanCacheHit: return "plan_cache_hit";
-    case FlightEventKind::kPlanCacheMiss: return "plan_cache_miss";
-    case FlightEventKind::kPlanCacheInvalidate: return "plan_cache_invalidate";
     case FlightEventKind::kReplan: return "replan";
     case FlightEventKind::kHedge: return "hedge";
   }

@@ -29,9 +29,6 @@ enum class FlightEventKind : uint8_t {
   kScatterFanout,
   kArenaHighWater,
   kDriftExceeded,
-  kPlanCacheHit,
-  kPlanCacheMiss,
-  kPlanCacheInvalidate,
   kReplan,
   kHedge,
 };

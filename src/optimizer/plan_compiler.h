@@ -27,10 +27,6 @@ class CompiledPlan {
   CompiledPlan& operator=(const CompiledPlan&) = delete;
 
   const CandidatePlan& plan() const { return *plan_; }
-  /// Mutable plan access for the plan cache's constant rebinding: the tree
-  /// borrows the plan's atoms, so assigning a constant Term's value here
-  /// retargets the corresponding operator in place.
-  CandidatePlan* mutable_plan() { return plan_.get(); }
   engine::op::CompiledQuery& tree() { return tree_; }
 
   /// Renders the plan header (description, query, plan-level estimate)

@@ -1,6 +1,7 @@
 #include "relational/database.h"
 
 #include <cctype>
+#include <cstdint>
 
 #include "common/io.h"
 #include "common/strings.h"
@@ -48,16 +49,20 @@ Result<Value> ParseCsvField(const std::string& raw, ColumnType type) {
     return Value::Str(field);
   }
   switch (type) {
-    case ColumnType::kInt:
-      if (!LooksNumeric(field)) {
-        return Status::TypeError("'" + field + "' is not an int");
+    case ColumnType::kInt: {
+      int64_t value = 0;
+      if (!ParseNumber(field, &value)) {
+        return Status::TypeError("'" + field + "' is not a 64-bit int");
       }
-      return Value::Int(std::stoll(field));
-    case ColumnType::kDouble:
-      if (!LooksNumeric(field)) {
+      return Value::Int(value);
+    }
+    case ColumnType::kDouble: {
+      double value = 0.0;
+      if (!LooksNumeric(field) || !ParseNumber(field, &value)) {
         return Status::TypeError("'" + field + "' is not a double");
       }
-      return Value::Double(std::stod(field));
+      return Value::Double(value);
+    }
     case ColumnType::kBool:
       if (field == "true" || field == "1") return Value::Bool(true);
       if (field == "false" || field == "0") return Value::Bool(false);

@@ -2,7 +2,9 @@
 // of the first min_samples observations, so a single outlier during
 // warm-up cannot trip drift_exceeded (the regression this pins: the first
 // sample used to seed the EWMA at full weight, so one bad draw flagged the
-// group — and would now invalidate every dependent plan-cache entry).
+// group). Flags are read back through Report().Exceeded(), and
+// exceeded_events() counts threshold crossings, so it shows that the flag
+// is edge-triggered.
 
 #include "dcsm/drift.h"
 
@@ -30,16 +32,14 @@ void Seed(Dcsm* dcsm) {
                         CostVector(5.0, 10.0, 4.0));
 }
 
-struct HookLog {
-  std::vector<std::string> fired;
-
-  DriftTracker::ExceededHook hook() {
-    return [this](const std::string& site, const std::string& domain,
-                  const std::string& adorn) {
-      fired.push_back(site + "/" + domain + "/" + adorn);
-    };
+/// The groups currently past the threshold, as "site/domain/adornment".
+std::vector<std::string> Exceeded(const DriftTracker& drift) {
+  std::vector<std::string> names;
+  for (const DriftEntry& e : drift.Report().Exceeded()) {
+    names.push_back(e.site + "/" + e.domain + "/" + e.adornment);
   }
-};
+  return names;
+}
 
 TEST(DriftWarmupTest, OneOutlierAmongWarmupSamplesDoesNotTrip) {
   Dcsm dcsm;
@@ -48,8 +48,6 @@ TEST(DriftWarmupTest, OneOutlierAmongWarmupSamplesDoesNotTrip) {
   options.threshold = 1.0;
   options.min_samples = 3;
   DriftTracker drift(&dcsm, options);
-  HookLog log;
-  drift.set_exceeded_hook(log.hook());
 
   // First observation is wildly off (20× the estimate); the next two are
   // dead on. The trimmed mean drops the outlier, so the group seeds calm.
@@ -62,8 +60,7 @@ TEST(DriftWarmupTest, OneOutlierAmongWarmupSamplesDoesNotTrip) {
 
   EXPECT_EQ(drift.observations(), 3u);
   EXPECT_EQ(drift.exceeded_events(), 0u);
-  EXPECT_TRUE(drift.Report().Exceeded().empty());
-  EXPECT_TRUE(log.fired.empty());
+  EXPECT_TRUE(Exceeded(drift).empty());
 }
 
 TEST(DriftWarmupTest, SustainedErrorStillTripsAfterWarmup) {
@@ -74,8 +71,6 @@ TEST(DriftWarmupTest, SustainedErrorStillTripsAfterWarmup) {
   options.min_samples = 3;
   DriftTracker drift(&dcsm, options);
   drift.SetSite("d", "umd");
-  HookLog log;
-  drift.set_exceeded_hook(log.hook());
 
   // Every observation is 20× the estimate: trimming one sample does not
   // rescue the seed, and the group flags as soon as warm-up completes.
@@ -84,16 +79,14 @@ TEST(DriftWarmupTest, SustainedErrorStillTripsAfterWarmup) {
                   static_cast<double>(i), nullptr);
   }
   EXPECT_EQ(drift.exceeded_events(), 1u);
-  ASSERT_EQ(drift.Report().Exceeded().size(), 1u);
-  ASSERT_EQ(log.fired.size(), 1u);
-  EXPECT_EQ(log.fired[0], "umd/d/c");
+  EXPECT_EQ(Exceeded(drift), std::vector<std::string>{"umd/d/c"});
 
-  // The flag is edge-triggered: staying past the threshold does not refire
-  // the hook (re-invalidation storms on every call would thrash the cache).
+  // The event is edge-triggered: staying past the threshold keeps the group
+  // flagged but counts no second crossing.
   drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 3.0,
                 nullptr);
   EXPECT_EQ(drift.exceeded_events(), 1u);
-  EXPECT_EQ(log.fired.size(), 1u);
+  EXPECT_EQ(Exceeded(drift), std::vector<std::string>{"umd/d/c"});
 }
 
 TEST(DriftWarmupTest, MinSamplesOneKeepsTheEagerBehavior) {
@@ -103,13 +96,11 @@ TEST(DriftWarmupTest, MinSamplesOneKeepsTheEagerBehavior) {
   options.threshold = 1.0;
   options.min_samples = 1;  // opt back into flag-on-first-sample
   DriftTracker drift(&dcsm, options);
-  HookLog log;
-  drift.set_exceeded_hook(log.hook());
 
   drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 0.0,
                 nullptr);
   EXPECT_EQ(drift.exceeded_events(), 1u);
-  EXPECT_EQ(log.fired.size(), 1u);
+  EXPECT_EQ(Exceeded(drift), std::vector<std::string>{"local/d/c"});
 }
 
 TEST(DriftWarmupTest, GroupsWarmUpIndependently) {
@@ -121,8 +112,6 @@ TEST(DriftWarmupTest, GroupsWarmUpIndependently) {
   options.threshold = 1.0;
   options.min_samples = 2;
   DriftTracker drift(&dcsm, options);
-  HookLog log;
-  drift.set_exceeded_hook(log.hook());
 
   // d:f drifts hard; e:g stays calm. Only the drifted group flags.
   for (int i = 0; i < 2; ++i) {
@@ -131,9 +120,8 @@ TEST(DriftWarmupTest, GroupsWarmUpIndependently) {
     drift.Observe(Pattern("e:g(1)"), "c", CostVector(5.0, 10.0, 4.0),
                   static_cast<double>(i), nullptr);
   }
-  ASSERT_EQ(log.fired.size(), 1u);
-  EXPECT_EQ(log.fired[0], "local/d/c");
-  EXPECT_EQ(drift.Report().Exceeded().size(), 1u);
+  EXPECT_EQ(drift.exceeded_events(), 1u);
+  EXPECT_EQ(Exceeded(drift), std::vector<std::string>{"local/d/c"});
 }
 
 }  // namespace

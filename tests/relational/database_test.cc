@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace hermes::relational {
 namespace {
 
@@ -60,6 +63,34 @@ TEST(DatabaseTest, LoadCsvBadTypeFails) {
   EXPECT_FALSE(db.LoadCsv("t", "a:int\nnot_a_number\n").ok());
   Database db2;
   EXPECT_FALSE(db2.LoadCsv("t", "a:frob\n1\n").ok());
+}
+
+TEST(DatabaseTest, LoadCsvOutOfRangeNumberIsATypeError) {
+  Database db;
+  Result<Table*> t = db.LoadCsv("t", "n:int\n99999999999999999999\n");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kTypeError) << t.status();
+  EXPECT_NE(t.status().message().find("99999999999999999999"),
+            std::string::npos);
+  Database db2;
+  Result<Table*> d = db2.LoadCsv("t", "x:double\n1" + std::string(400, '0') +
+                                          "\n");
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kTypeError) << d.status();
+}
+
+TEST(DatabaseTest, LoadCsvFractionInIntColumnIsATypeError) {
+  Database db;
+  Result<Table*> t = db.LoadCsv("t", "n:int\n1.5\n");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kTypeError) << t.status();
+  // The extremes of the column type still load exactly.
+  Database db2;
+  Result<Table*> ok = db2.LoadCsv(
+      "t", "n:int\n9223372036854775807\n-9223372036854775808\n");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ((*ok)->row(0)[0], Value::Int(INT64_MAX));
+  EXPECT_EQ((*ok)->row(1)[0], Value::Int(INT64_MIN));
 }
 
 TEST(DatabaseTest, LoadCsvBoolColumn) {

@@ -21,12 +21,17 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "engine/diagnostics.h"
 #include "engine/mediator.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
 namespace {
+
+constexpr char kUsage[] =
+    "usage: %s [--out=DIR] [--faults=FILE] [--queries=N] "
+    "[--slow-threshold=SIM_MS]\n";
 
 int Run(int argc, char** argv) {
   std::string out_dir = "diag_out";
@@ -38,19 +43,23 @@ int Run(int argc, char** argv) {
     auto value = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
+    auto bad_value = [&arg, argv] {
+      std::fprintf(stderr, "bad numeric value: %s\n", arg.c_str());
+      std::fprintf(stderr, kUsage, argv[0]);
+      return 1;
+    };
     if (arg.rfind("--out=", 0) == 0) {
       out_dir = value("--out=");
     } else if (arg.rfind("--faults=", 0) == 0) {
       faults_file = value("--faults=");
     } else if (arg.rfind("--queries=", 0) == 0) {
-      num_queries = static_cast<size_t>(std::stoul(value("--queries=")));
+      if (!ParseNumber(value("--queries="), &num_queries)) return bad_value();
     } else if (arg.rfind("--slow-threshold=", 0) == 0) {
-      slow_threshold_ms = std::stod(value("--slow-threshold="));
+      if (!ParseNumber(value("--slow-threshold="), &slow_threshold_ms)) {
+        return bad_value();
+      }
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--out=DIR] [--faults=FILE] [--queries=N] "
-          "[--slow-threshold=SIM_MS]\n",
-          argv[0]);
+      std::printf(kUsage, argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
@@ -91,16 +100,9 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  // Adaptive execution armed, exactly as a production mediator would run:
-  // repeated window shapes serve from the plan cache, and a breaker
-  // opening mid-join re-plans the suffix — the capture_on_replan default
-  // then persists the decision (old/new suffix, trigger) into the bundle.
-  Status plan_cache = med.EnablePlanCache();
-  if (!plan_cache.ok()) {
-    std::fprintf(stderr, "plan cache setup failed: %s\n",
-                 plan_cache.ToString().c_str());
-    return 1;
-  }
+  // Mid-query re-optimization armed: a breaker opening mid-join re-plans
+  // the suffix, and the capture_on_replan default then persists the
+  // decision (old/new suffix, trigger) into the bundle.
   engine::op::ReplanOptions replan;
   replan.enabled = true;
   med.set_replan_options(replan);

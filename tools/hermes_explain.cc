@@ -14,8 +14,7 @@
 // graceful degradation enabled, so the actuals show retries=/lost=
 // annotations on the affected calls.
 //
-// --adaptive arms the full adaptive-execution stack — plan cache plus
-// mid-query re-optimization — and implies --execute. The CIM wrappers are
+// --adaptive arms mid-query re-optimization and implies --execute. The CIM wrappers are
 // warmed first and the relation stack fails fast (no retries, two strikes
 // open the breaker), so under a fault plan that takes the relation site
 // down (e.g. tests/chaos/adaptive.faults) the running join re-plans its
@@ -23,15 +22,20 @@
 // replanned@ marker and the before/after re-plan decision record.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/strings.h"
 #include "engine/mediator.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
 namespace {
+
+constexpr char kUsage[] =
+    "usage: %s [--query=TEXT | --appendix=N] [--primed] [--first=F] "
+    "[--last=L] [--no-optimize] [--no-cim] [--execute] "
+    "[--faults=FILE] [--adaptive]\n";
 
 int Run(int argc, char** argv) {
   std::string query_text;
@@ -45,16 +49,21 @@ int Run(int argc, char** argv) {
     auto value = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
+    auto bad_value = [&arg, argv] {
+      std::fprintf(stderr, "bad numeric value: %s\n", arg.c_str());
+      std::fprintf(stderr, kUsage, argv[0]);
+      return 1;
+    };
     if (arg.rfind("--query=", 0) == 0) {
       query_text = value("--query=");
     } else if (arg.rfind("--appendix=", 0) == 0) {
-      appendix = std::atoi(value("--appendix=").c_str());
+      if (!ParseNumber(value("--appendix="), &appendix)) return bad_value();
     } else if (arg == "--primed") {
       primed = true;
     } else if (arg.rfind("--first=", 0) == 0) {
-      first = std::atoll(value("--first=").c_str());
+      if (!ParseNumber(value("--first="), &first)) return bad_value();
     } else if (arg.rfind("--last=", 0) == 0) {
-      last = std::atoll(value("--last=").c_str());
+      if (!ParseNumber(value("--last="), &last)) return bad_value();
     } else if (arg == "--no-optimize") {
       optimize = false;
     } else if (arg == "--no-cim") {
@@ -66,11 +75,7 @@ int Run(int argc, char** argv) {
     } else if (arg.rfind("--faults=", 0) == 0) {
       faults_file = value("--faults=");
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--query=TEXT | --appendix=N] [--primed] [--first=F] "
-          "[--last=L] [--no-optimize] [--no-cim] [--execute] "
-          "[--faults=FILE] [--adaptive]\n",
-          argv[0]);
+      std::printf(kUsage, argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
@@ -107,9 +112,9 @@ int Run(int argc, char** argv) {
   }
   if (adaptive) {
     // Warm the CIM wrappers before any faults land so a replan redirect
-    // finds its answers cached, then arm the adaptive stack: plan cache,
-    // replanning, and a fail-fast relation policy whose breaker opens
-    // after two failed per-object lookups.
+    // finds its answers cached, then arm replanning with a fail-fast
+    // relation policy whose breaker opens after two failed per-object
+    // lookups.
     QueryOptions warm;
     warm.use_optimizer = false;
     warm.use_cim = true;
@@ -131,12 +136,6 @@ int Run(int argc, char** argv) {
     if (!fail_fast.ok()) {
       std::fprintf(stderr, "relation policy rejected: %s\n",
                    fail_fast.ToString().c_str());
-      return 1;
-    }
-    Status plan_cache = med.EnablePlanCache();
-    if (!plan_cache.ok()) {
-      std::fprintf(stderr, "plan cache setup failed: %s\n",
-                   plan_cache.ToString().c_str());
       return 1;
     }
     engine::op::ReplanOptions replan;

@@ -88,15 +88,6 @@ int Run(int argc, char** argv) {
                  diag.ToString().c_str());
     return 1;
   }
-  // Plan cache on, so the hermes_plan_cache_* families are part of the
-  // exposition and move: each cold/warm pair below repeats one query text,
-  // so the warm half serves the compiled plan from the cache.
-  Status plan_cache = med.EnablePlanCache();
-  if (!plan_cache.ok()) {
-    std::fprintf(stderr, "plan cache setup failed: %s\n",
-                 plan_cache.ToString().c_str());
-    return 1;
-  }
   if (!faults_file.empty()) {
     Status faults = med.LoadFaultPlan(faults_file);
     if (!faults.ok()) {

@@ -36,10 +36,6 @@ DEFAULT_REQUIRED = [
     "hermes_cim_exact_hits_total",
     "hermes_dcsm_records_total",
     "hermes_dcsm_drift",
-    "hermes_plan_cache_hits_total",
-    "hermes_plan_cache_misses_total",
-    "hermes_plan_cache_invalidations_total",
-    "hermes_plan_cache_entries",
     "hermes_replan_triggers_total",
     "hermes_replan_splices_total",
     "hermes_flight_events_total",
